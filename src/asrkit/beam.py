@@ -10,9 +10,25 @@ A hypothesis finishes on <eos>; its CTC term then switches to the total
 probability that the CTC output equals the prefix exactly, making
 finished scores comparable.  Ties order by (higher joint, shorter,
 lexicographically smaller tokens).
+
+The search stops once no live hypothesis can still reach the n-best
+list, so its cost follows the output length rather than max_len.  The
+stop is exact, not a heuristic: an extension never raises a score when
+the decoder's log-probabilities are <= 0, a CTC prefix probability
+cannot grow as the prefix does, and the exact-match probability of a
+prefix is at most its prefix probability.  After each step the search
+therefore ends when the nbest-th finished hypothesis scores at least
+the best live one (plus a rounding margin, STOP_RTOL): every later
+finisher would score no higher and, being longer, lose the tie.  The
+rule applies while length_penalty <= 0, lambda_ctc > 0 (at 0 a
+CTC-impossible prefix scores 0 * -inf = NaN, which has no rank) and
+every decoder row seen so far is finite and <= 0; otherwise the search
+runs to max_len.  Either way the n-best list is the one running to
+max_len would give.
 """
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +36,10 @@ from .ctc import (PrefixState, ctc_complete_logprob, ctc_prefix_extend_all,
                   ctc_prefix_initial)
 from .errors import ValidationError
 from .vocab import Vocab
+
+# relative slack on the early-stop test: covers float rounding in the
+# CTC prefix scores, far below any score gap that decides a ranking
+STOP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,6 +87,14 @@ class BeamResult:
     truncated: bool = False
 
 
+def prefix_head(vocab: Vocab, language: str | None) -> tuple[int, ...]:
+    """Decoder-side ids ahead of the characters: <sos>, then the
+    language prompt when one is given."""
+    if language is None:
+        return (vocab.sos_id,)
+    return (vocab.sos_id, vocab.lang_id(language))
+
+
 def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
                       cfg: BeamConfig, language: str | None = None,
                       candidates: tuple[int, ...] | None = None
@@ -80,26 +108,29 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
                   non-special token in the vocabulary.
 
     Returns nbest results; if nothing finished by max_len, the best
-    unfinished hypothesis is returned with truncated=True.
+    unfinished hypothesis is returned with truncated=True.  The search
+    ends early once the n-best list is settled (see the module
+    docstring).
     """
     if candidates is None:
         candidates = vocab.char_ids
     eos = vocab.eos_id
-    prefix_head: tuple[int, ...] = (vocab.sos_id,)
-    if language is not None:
-        prefix_head = (vocab.sos_id, vocab.lang_id(language))
+    head = prefix_head(vocab, language)
 
     live = [Hypothesis(tokens=(), ctc_state=ctc_prefix_initial(ctc_log_post),
                        att_logprob=0.0, ctc_logprob=0.0,
                        lambda_ctc=cfg.lambda_ctc)]
     finished: list[Hypothesis] = []
+    can_stop = cfg.length_penalty <= 0.0 and cfg.lambda_ctc > 0.0
 
     for _ in range(cfg.max_len + 1):
         if not live:
             break
         extensions: list[Hypothesis] = []
         for hyp in live:
-            att_next = decode_fn(prefix_head + hyp.tokens)
+            att_next = decode_fn(head + hyp.tokens)
+            can_stop = can_stop and bool(
+                np.all(np.isfinite(att_next) & (att_next <= 0.0)))
             psi, r_new = ctc_prefix_extend_all(ctc_log_post, hyp.ctc_state)
             for c in candidates:
                 if len(hyp.tokens) >= cfg.max_len:
@@ -121,6 +152,11 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
                 finished=True))
         extensions.sort(key=Hypothesis.sort_key)
         live = extensions[: cfg.beam_size]
+        if can_stop and live and len(finished) >= cfg.nbest:
+            bound = heapq.nsmallest(cfg.nbest, finished,
+                                    key=Hypothesis.sort_key)[-1].joint
+            if bound >= live[0].joint + STOP_RTOL * max(1.0, abs(bound)):
+                break
 
     finished.sort(key=Hypothesis.sort_key)
     results = [

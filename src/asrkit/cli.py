@@ -161,6 +161,7 @@ def cmd_decode(args) -> int:
     utts = load_manifest(args.manifest)
     cfg = BeamConfig(beam_size=args.beam, lambda_ctc=args.lambda_ctc,
                      nbest=args.nbest, max_len=args.max_len)
+    model.check_max_len(cfg, args.language)
     adaptation = None
     if args.adapt_language is not None:
         adaptation = build_language_mask(args.adapt_language, model.vocab,
@@ -306,7 +307,6 @@ def build_parser() -> Parser:
     p.add_argument("--adapt-epsilon", type=float, default=1e-4)
     p.add_argument("--nbest", type=int, default=1)
     p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("score", help="error-rate report")

@@ -92,15 +92,22 @@ class Decoder(Module):
         return self.out_proj(self.norm_out(x))
 
     def decode_step(self, enc: EncoderOutput, prefix) -> np.ndarray:
-        """Eval-mode log-probabilities of the next token after `prefix`."""
+        """Eval-mode log-probabilities of the next token after `prefix`.
+
+        A decoder in training mode is switched to eval for the call and
+        back; one already in eval mode (as under AsrModel.transcribe) is
+        used as it is.
+        """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with T.no_grad():
                 logits = self.forward_logits(enc.latent, prefix)
                 logp = T.log_softmax(logits[logits.shape[0] - 1:, :], axis=-1)
         finally:
-            self.train(was_training)
+            if was_training:
+                self.train()
         return logp.data.reshape(-1).astype(np.float64)
 
     def teacher_forced_loss(self, enc: EncoderOutput, target) -> Tensor:

@@ -1,13 +1,13 @@
 """The assembled recognizer: frontend -> encoder -> {CTC branch, decoder}."""
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import serialization, tensor as T
 from .adapt import LanguageMask
-from .beam import BeamConfig, BeamResult, joint_beam_search
+from .beam import BeamConfig, BeamResult, joint_beam_search, prefix_head
 from .ctc import ctc_loss
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig, EncoderOutput
@@ -98,6 +98,7 @@ class AsrModel(Module):
                    language: str | None = None,
                    adaptation: LanguageMask | None = None
                    ) -> list[BeamResult]:
+        self.check_max_len(cfg, language)
         was_training = self.training
         self.eval()
         try:
@@ -114,6 +115,17 @@ class AsrModel(Module):
             self.train(was_training)
         return results
 
+    def check_max_len(self, cfg: BeamConfig, language: str | None = None
+                      ) -> None:
+        """Reject a max_len whose longest decoder prefix the decoder
+        cannot take, before any decoding starts."""
+        longest = cfg.max_len + len(prefix_head(self.vocab, language))
+        if longest > self.decoder.cfg.max_target_len:
+            raise ValidationError(
+                f"max_len={cfg.max_len} allows decoder prefixes of "
+                f"{longest} ids, over max_target_len="
+                f"{self.decoder.cfg.max_target_len}")
+
     def result_text(self, result: BeamResult) -> str:
         return self.vocab.decode_ids(result.tokens)
 
@@ -125,8 +137,10 @@ def save_model(directory: str, model: AsrModel,
     if extra_arrays:
         arrays.update(extra_arrays)
     serialization.save_arrays(directory, arrays)
+    # the live encoder config: growth deepens the encoder past model.cfg
+    cfg = replace(model.cfg, encoder=model.encoder.cfg)
     serialization.save_json(directory, serialization.CONFIG_FILE,
-                            model.cfg.to_dict())
+                            cfg.to_dict())
     save_vocab(os.path.join(directory, "vocab.json"), model.vocab)
     if train_state is not None:
         serialization.save_json(directory, serialization.STATE_FILE,

@@ -5,6 +5,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from asrkit import tensor as T
+from asrkit.beam import BeamResult, Hypothesis, prefix_head
+from asrkit.ctc import (PrefixState, ctc_complete_logprob,
+                        ctc_prefix_extend_all, ctc_prefix_initial)
 from asrkit.rng import rng_for
 from asrkit.vocab import Vocab
 
@@ -101,3 +105,66 @@ def joint_brute_force(log_post: np.ndarray, decode_fn, vocab: Vocab,
                 best = (key, seq, joint, ctc, att)
     _, seq, joint, ctc, att = best
     return seq, joint, ctc, att
+
+
+def full_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab, cfg,
+                     language: str | None = None) -> list:
+    """joint_beam_search without early stopping: every step up to
+    max_len runs, so every hypothesis the beam admits gets its chance to
+    finish."""
+    eos = vocab.eos_id
+    head = prefix_head(vocab, language)
+    live = [Hypothesis(tokens=(), ctc_state=ctc_prefix_initial(ctc_log_post),
+                       att_logprob=0.0, ctc_logprob=0.0,
+                       lambda_ctc=cfg.lambda_ctc)]
+    finished = []
+    for _ in range(cfg.max_len + 1):
+        if not live:
+            break
+        extensions = []
+        for hyp in live:
+            att_next = decode_fn(head + hyp.tokens)
+            psi, r_new = ctc_prefix_extend_all(ctc_log_post, hyp.ctc_state)
+            if len(hyp.tokens) < cfg.max_len:
+                for c in vocab.char_ids:
+                    extensions.append(Hypothesis(
+                        tokens=hyp.tokens + (c,),
+                        ctc_state=PrefixState(r=r_new[c], last=int(c),
+                                              score=float(psi[c])),
+                        att_logprob=hyp.att_logprob + float(att_next[c]),
+                        ctc_logprob=float(psi[c]),
+                        lambda_ctc=cfg.lambda_ctc))
+            finished.append(Hypothesis(
+                tokens=hyp.tokens,
+                ctc_state=None,
+                att_logprob=hyp.att_logprob + float(att_next[eos])
+                + cfg.length_penalty * len(hyp.tokens),
+                ctc_logprob=ctc_complete_logprob(hyp.ctc_state),
+                lambda_ctc=cfg.lambda_ctc,
+                finished=True))
+        extensions.sort(key=Hypothesis.sort_key)
+        live = extensions[: cfg.beam_size]
+    finished.sort(key=Hypothesis.sort_key)
+    return [BeamResult(tokens=h.tokens, joint=h.joint, ctc=h.ctc_logprob,
+                       att=h.att_logprob)
+            for h in finished[: cfg.nbest]]
+
+
+def full_search_transcribe(model, feat, cfg, language: str | None = None
+                           ) -> list:
+    """AsrModel.transcribe with full_beam_search in place of the
+    early-stopping search; the model's train/eval mode is restored."""
+    was_training = model.training
+    model.eval()
+    try:
+        with T.no_grad():
+            enc = model.encode(feat)
+
+            def decode_fn(prefix):
+                return model.decoder.decode_step(enc, np.asarray(prefix))
+
+            return full_beam_search(
+                enc.final_log_posterior.data.astype(np.float64), decode_fn,
+                model.vocab, cfg, language=language)
+    finally:
+        model.train(was_training)

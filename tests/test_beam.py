@@ -4,10 +4,12 @@ trained model."""
 import numpy as np
 import pytest
 
-from oracles import joint_brute_force, seeded_decode_fn, tiny_vocab
+from oracles import (full_beam_search, full_search_transcribe,
+                     joint_brute_force, seeded_decode_fn, tiny_vocab)
 from asrkit.beam import BeamConfig, greedy_transcribe, joint_beam_search
 from asrkit.data import load_features
 from asrkit.errors import ValidationError
+from asrkit.vocab import build_vocab
 
 
 def rand_log_post(rng, t=4, v=3):
@@ -134,3 +136,159 @@ def test_wider_beam_does_not_lose_joint_score_on_a_trained_model(
                                   language=utt.language)[0]
         deltas.append(wide.joint - narrow.joint)
     assert np.mean(deltas) >= -1e-9
+
+
+# -- early stopping -------------------------------------------------------------
+
+
+def counted(decode_fn):
+    calls = []
+
+    def spy(prefix):
+        calls.append(tuple(prefix))
+        return decode_fn(prefix)
+
+    return spy, calls
+
+
+def full_search_calls(max_len):
+    # three characters, beam 4: one live hypothesis at step 0, three at
+    # step 1, four at each later step up to max_len
+    return 1 + 3 + 4 * (max_len - 1)
+
+
+def eos_favouring_decode_fn(vocab, eos_prob=0.9):
+    row = np.full(vocab.size, np.log((1.0 - eos_prob) / (vocab.size - 1)))
+    row[vocab.eos_id] = np.log(eos_prob)
+    return lambda prefix: row
+
+
+def test_early_stopping_matches_the_full_search_on_random_configs():
+    vocabs = (tiny_vocab(), build_vocab({"xx": "abc"}))
+    rng = np.random.default_rng(31)
+    stopped_early = 0
+    for trial in range(300):
+        vocab = vocabs[trial % 2]
+        beam = int(rng.integers(1, 6))
+        cfg = BeamConfig(beam_size=beam, nbest=int(rng.integers(1, beam + 1)),
+                         max_len=int(rng.integers(0, 10)),
+                         lambda_ctc=float(rng.choice([0.0, 0.3, 1.0])),
+                         length_penalty=float(rng.choice([0.0, -0.5])))
+        log_post = rand_log_post(rng, t=int(rng.integers(1, 12)),
+                                 v=vocab.size)
+        fast, fast_calls = counted(seeded_decode_fn(trial, vocab.size))
+        full, full_calls = counted(seeded_decode_fn(trial, vocab.size))
+        got = joint_beam_search(log_post, fast, vocab, cfg)
+        want = full_beam_search(log_post, full, vocab, cfg)
+        # reprs are exact for floats and equal for the NaN scores that
+        # CTC-impossible prefixes get at lambda_ctc = 0
+        assert repr(got) == repr(want), (trial, cfg)
+        assert fast_calls == full_calls[:len(fast_calls)]
+        stopped_early += len(fast_calls) < len(full_calls)
+    assert stopped_early > 50
+
+
+def test_search_stops_once_the_nbest_list_is_settled():
+    vocab = build_vocab({"xx": "abc"})
+    log_post = rand_log_post(np.random.default_rng(4), t=6, v=vocab.size)
+    cfg = BeamConfig(beam_size=4, nbest=2, max_len=20)
+    fast, fast_calls = counted(eos_favouring_decode_fn(vocab))
+    full, full_calls = counted(eos_favouring_decode_fn(vocab))
+    got = joint_beam_search(log_post, fast, vocab, cfg)
+    assert got == full_beam_search(log_post, full, vocab, cfg)
+    assert len(full_calls) == full_search_calls(cfg.max_len)
+    assert len(fast_calls) <= full_search_calls(2)
+
+
+def impossible_last_char(row):
+    row = row.copy()
+    row[build_vocab({"xx": "abc"}).char_ids[-1]] = -np.inf
+    return row
+
+
+# (config overrides, change to every decoder row) under which an
+# extension can gain, or a score can be NaN and so unranked
+NO_STOP_CASES = {
+    "length_bonus": (dict(length_penalty=0.5), lambda row: row),
+    "positive_rows": ({}, lambda row: row + 0.5),
+    "zero_ctc_weight": (dict(lambda_ctc=0.0), lambda row: row),
+    "impossible_token_at_ctc_weight_one": (dict(lambda_ctc=1.0),
+                                           impossible_last_char),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_STOP_CASES))
+def test_search_runs_to_max_len_when_the_stop_rule_does_not_hold(case):
+    overrides, change = NO_STOP_CASES[case]
+    vocab = build_vocab({"xx": "abc"})
+    # blank-heavy frames and an <eos>-heavy decoder favour the empty
+    # output under both scores, so the search would otherwise stop early
+    rows = np.random.default_rng(4).normal(size=(6, vocab.size))
+    rows[:, 0] += 3.0
+    log_post = rows - np.logaddexp.reduce(rows, axis=1, keepdims=True)
+    base = eos_favouring_decode_fn(vocab)
+    cfg = BeamConfig(beam_size=4, nbest=2, max_len=12, **overrides)
+    fast, fast_calls = counted(lambda prefix: change(base(prefix)))
+    full, full_calls = counted(lambda prefix: change(base(prefix)))
+    got = joint_beam_search(log_post, fast, vocab, cfg)
+    assert repr(got) == repr(full_beam_search(log_post, full, vocab, cfg))
+    assert len(fast_calls) == len(full_calls) == full_search_calls(
+        cfg.max_len)
+
+
+def test_transcribe_matches_the_full_search_on_a_trained_model(
+        trained_run, toy_corpus, monkeypatch):
+    model = trained_run["model"]
+    calls = []
+    step = model.decoder.decode_step
+
+    def spy(enc, prefix):
+        calls.append(len(prefix))
+        return step(enc, prefix)
+
+    full_calls = 0
+    for beam, nbest in ((1, 1), (4, 1), (4, 4)):
+        cfg = BeamConfig(beam_size=beam, nbest=nbest, max_len=32)
+        for utt in toy_corpus["held"][:4]:
+            feat = load_features(toy_corpus["manifest"], utt)
+            want = full_search_transcribe(model, feat, cfg,
+                                          language=utt.language)
+            with monkeypatch.context() as m:
+                m.setattr(model.decoder, "decode_step", spy)
+                got = model.transcribe(feat, cfg, language=utt.language)
+            assert got == want, (beam, nbest, utt.utt_id)
+            full_calls += 1 + beam * cfg.max_len
+    assert len(calls) < full_calls / 2
+
+
+def test_max_len_is_checked_before_decoding(monkeypatch):
+    from asrkit.decoder import DecoderConfig
+    from asrkit.encoder import EncoderConfig
+    from asrkit.model import AsrModel, ModelConfig
+    from asrkit.ssl import AudioFeatures, SslConfig
+    vocab = build_vocab({"xx": "ab"})
+    model = AsrModel(ModelConfig(
+        frontend=SslConfig(input_dim=4, hidden_dim=8, num_blocks=1,
+                           attention_heads=2, codebook_size=4),
+        encoder=EncoderConfig(input_dim=8, hidden_dim=8, num_blocks=2,
+                              attention_heads=2, cgmlp_units=8),
+        decoder=DecoderConfig(hidden_dim=8, num_layers=1, attention_heads=2,
+                              max_target_len=8)), vocab)
+    feat = AudioFeatures(frames=np.random.default_rng(0).normal(
+        size=(20, 4)).astype(np.float32))
+    calls = []
+    step = model.decoder.decode_step
+
+    def spy(enc, prefix):
+        calls.append(len(prefix))
+        return step(enc, prefix)
+
+    monkeypatch.setattr(model.decoder, "decode_step", spy)
+    # <sos> + <lang:xx> + 6 characters fill max_target_len exactly
+    model.transcribe(feat, BeamConfig(max_len=6), language="xx")
+    model.transcribe(feat, BeamConfig(max_len=7))
+    assert calls
+    calls.clear()
+    with pytest.raises(ValidationError, match="max_target_len"):
+        model.transcribe(feat, BeamConfig(max_len=7), language="xx")
+    assert not calls

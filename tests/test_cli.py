@@ -127,6 +127,16 @@ def test_decode_with_adaptation(pipeline, tmp_path):
     assert len(read_jsonl(out)) == len(read_jsonl(pipeline["manifest"]))
 
 
+def test_decode_max_len_over_the_decoder_limit_exits_1(pipeline, tmp_path,
+                                                       capsys):
+    out = tmp_path / "long.jsonl"
+    assert main(["decode", "--model", pipeline["model"],
+                 "--manifest", pipeline["manifest"], "--out", str(out),
+                 "--max-len", "300", "--language", "en"]) == 1
+    assert "max_target_len" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_report(pipeline):
     payload = json.load(open(os.path.join(pipeline["report"],
                                           "report.json")))

@@ -322,6 +322,59 @@ def test_resume_requires_train_state(toy_corpus, tmp_path):
                        resume_from=ckpt)
 
 
+def test_checkpoint_after_growth_reloads_the_grown_model(toy_corpus,
+                                                         tmp_path):
+    from asrkit import tensor as T
+    from asrkit.data import load_features
+    from asrkit.model import load_model, save_model
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    model = small_model(vocab)
+    model.encoder.grow(4)
+    ckpt = str(tmp_path / "grown")
+    save_model(ckpt, model)
+    loaded, _ = load_model(ckpt)
+    assert loaded.encoder.depth == model.encoder.depth == 4
+    assert loaded.encoder.cfg == model.encoder.cfg
+    want, got = model.named_state(), loaded.named_state()
+    assert sorted(got) == sorted(want)
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype, name
+        assert got[name].tobytes() == array.tobytes(), name
+    feat = load_features(toy_corpus["train_manifest"], toy_corpus["train"][0])
+    model.eval()
+    loaded.eval()
+    with T.no_grad():
+        a, b = model.encode(feat), loaded.encode(feat)
+    assert (a.final_log_posterior.data.tobytes()
+            == b.final_log_posterior.data.tobytes())
+    assert [(i, t.data.tobytes()) for i, t in a.tap_log_posteriors] == [
+        (i, t.data.tobytes()) for i, t in b.tap_log_posteriors]
+
+
+def test_resume_from_a_grown_stage_keeps_the_grown_blocks(toy_corpus,
+                                                          tmp_path):
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    utts = toy_corpus["train"][:4]
+    manifest = toy_corpus["train_manifest"]
+    plan = StagePlan(stages=tuple(
+        Stage(name=name, encoder_depth=depth, languages=None, steps=4,
+              peak_lr=1e-3, warmup=2, **extra)
+        for name, depth, extra in (("a", 2, {}), ("b", 3, {}),
+                                   ("c", 3, {"freeze": ()}))),
+        batch_max_frames=300)
+    full = run_curriculum(small_model(vocab), utts, manifest, plan,
+                          seed=3, out_dir=str(tmp_path / "full"))
+    # stage 2 grew the encoder from 2 to 3 blocks
+    resumed = run_curriculum(small_model(vocab), utts, manifest, plan,
+                             seed=3, out_dir=str(tmp_path / "resumed"),
+                             resume_from=full.checkpoint_dirs[1])
+    a = open(os.path.join(full.checkpoint_dirs[2], "params.bin"),
+             "rb").read()
+    b = open(os.path.join(resumed.checkpoint_dirs[0], "params.bin"),
+             "rb").read()
+    assert a == b
+
+
 def test_impossible_labels_are_skipped_and_counted(toy_corpus, tmp_path):
     from asrkit.curriculum import train_step
     from asrkit.data import load_features
