@@ -6,6 +6,9 @@ CTC prefix score on the final CTC posterior, combined as
 
     joint = lambda_ctc * ctc + (1 - lambda_ctc) * att
 
+with a term whose weight is 0 left out, so at lambda_ctc = 0 a
+CTC-impossible prefix (ctc = -inf) scores its attention term rather
+than 0 * -inf = NaN, and likewise for att = -inf at lambda_ctc = 1.
 A hypothesis finishes on <eos>; its CTC term then switches to the total
 probability that the CTC output equals the prefix exactly, making
 finished scores comparable.  Ties order by (higher joint, shorter,
@@ -20,11 +23,11 @@ prefix is at most its prefix probability.  After each step the search
 therefore ends when the nbest-th finished hypothesis scores at least
 the best live one (plus a rounding margin, STOP_RTOL): every later
 finisher would score no higher and, being longer, lose the tie.  The
-rule applies while length_penalty <= 0, lambda_ctc > 0 (at 0 a
-CTC-impossible prefix scores 0 * -inf = NaN, which has no rank) and
-every decoder row seen so far is finite and <= 0; otherwise the search
-runs to max_len.  Either way the n-best list is the one running to
-max_len would give.
+rule applies while length_penalty <= 0 and every decoder row seen so
+far is <= 0 (a NaN entry fails that test); otherwise the search runs
+to max_len.  Either way the n-best list is the one running to max_len
+would give.  max_len must be >= 0, so the empty hypothesis always
+finishes and every search returns nbest results.
 """
 
 import heapq
@@ -57,6 +60,8 @@ class BeamConfig:
             raise ValidationError("beam_size must be at least 1")
         if self.nbest < 1 or self.nbest > self.beam_size:
             raise ValidationError("nbest must lie in [1, beam_size]")
+        if self.max_len < 0:
+            raise ValidationError("max_len must be at least 0")
 
 
 @dataclass
@@ -67,10 +72,13 @@ class Hypothesis:
     ctc_logprob: float
     lambda_ctc: float
     finished: bool = False
-    truncated: bool = False
 
     @property
     def joint(self) -> float:
+        if self.lambda_ctc == 0.0:
+            return self.att_logprob
+        if self.lambda_ctc == 1.0:
+            return self.ctc_logprob
         return (self.lambda_ctc * self.ctc_logprob
                 + (1.0 - self.lambda_ctc) * self.att_logprob)
 
@@ -84,6 +92,8 @@ class BeamResult:
     joint: float
     ctc: float
     att: float
+    # always False: every search finishes the empty hypothesis; kept as
+    # the `truncated` field of hyps.jsonl rows
     truncated: bool = False
 
 
@@ -107,10 +117,8 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
     candidates:   character ids to expand over; defaults to every
                   non-special token in the vocabulary.
 
-    Returns nbest results; if nothing finished by max_len, the best
-    unfinished hypothesis is returned with truncated=True.  The search
-    ends early once the n-best list is settled (see the module
-    docstring).
+    Returns the nbest best finished hypotheses.  The search ends early
+    once the n-best list is settled (see the module docstring).
     """
     if candidates is None:
         candidates = vocab.char_ids
@@ -121,7 +129,7 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
                        att_logprob=0.0, ctc_logprob=0.0,
                        lambda_ctc=cfg.lambda_ctc)]
     finished: list[Hypothesis] = []
-    can_stop = cfg.length_penalty <= 0.0 and cfg.lambda_ctc > 0.0
+    can_stop = cfg.length_penalty <= 0.0
 
     for _ in range(cfg.max_len + 1):
         if not live:
@@ -129,8 +137,7 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
         extensions: list[Hypothesis] = []
         for hyp in live:
             att_next = decode_fn(head + hyp.tokens)
-            can_stop = can_stop and bool(
-                np.all(np.isfinite(att_next) & (att_next <= 0.0)))
+            can_stop = can_stop and bool(np.all(att_next <= 0.0))
             psi, r_new = ctc_prefix_extend_all(ctc_log_post, hyp.ctc_state)
             for c in candidates:
                 if len(hyp.tokens) >= cfg.max_len:
@@ -159,18 +166,9 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
                 break
 
     finished.sort(key=Hypothesis.sort_key)
-    results = [
-        BeamResult(tokens=h.tokens, joint=h.joint, ctc=h.ctc_logprob,
-                   att=h.att_logprob)
-        for h in finished[: cfg.nbest]
-    ]
-    if not results:
-        live.sort(key=Hypothesis.sort_key)
-        best = live[0]
-        results = [BeamResult(tokens=best.tokens, joint=best.joint,
-                              ctc=best.ctc_logprob, att=best.att_logprob,
-                              truncated=True)]
-    return results
+    return [BeamResult(tokens=h.tokens, joint=h.joint, ctc=h.ctc_logprob,
+                       att=h.att_logprob)
+            for h in finished[: cfg.nbest]]
 
 
 def greedy_transcribe(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,

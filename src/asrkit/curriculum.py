@@ -7,14 +7,16 @@ loss is
 
     0.3 * ctc_final + 0.7 * attention + 0.5 * mean(tap ctc losses)
 
-Optimizer moments are reset at each stage boundary.  Batch selection is
-stateless: the batch for (stage, step) depends only on the seed and the
-stage's filtered corpus, never on training history, so a run resumed
-from any stage checkpoint is bit-identical to one that never stopped.
+Optimizer moments are reset at each stage boundary, so a stage
+checkpoint holds the model alone.  Batch selection is stateless: the
+batch for (stage, step) depends only on the seed and the stage's
+filtered corpus, never on training history, so a run resumed from any
+stage checkpoint is bit-identical to one that never stopped.
 """
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,7 +24,7 @@ from . import tensor as T
 from .data import Utterance, load_features
 from .errors import ImpossibleAlignmentError, ValidationError
 from .model import (ATT_WEIGHT, CTC_WEIGHT, TAP_WEIGHT, AsrModel,
-                    load_model, load_train_state, save_model)
+                    load_model, save_model)
 from .nn import Dropout
 from .optim import AdamW
 from .rng import rng_for
@@ -282,9 +284,18 @@ def train_step(model: AsrModel, opt: AdamW, batch, features_by_id,
 
 @dataclass
 class CurriculumResult:
+    model: AsrModel
     checkpoint_dirs: list[str]
     metrics_path: str
     final_dir: str
+
+
+def _json_row(row: dict) -> str:
+    # non-finite losses (a batch whose utterances were all skipped) are
+    # written as null: bare NaN is not JSON
+    clean = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in row.items()}
+    return json.dumps(clean, sort_keys=True, allow_nan=False)
 
 
 def run_curriculum(model: AsrModel, utts: list[Utterance],
@@ -294,7 +305,9 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
     """Execute the plan, checkpointing at every stage boundary.
 
     resume_from: a stage checkpoint directory written by an earlier run
-    of the same plan; training continues with the following stage.
+    of the same plan; training continues with the following stage on
+    the model loaded from it, and `model` is not used.  Either way the
+    trained model is the result's `model`.
     """
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -302,8 +315,7 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
     start_stage = 0
     global_step = 0
     if resume_from is not None:
-        model, _ = load_model(resume_from)
-        state = load_train_state(resume_from)
+        model, state = load_model(resume_from)
         if state is None:
             raise ValidationError(
                 f"{resume_from!r} has no training state to resume from")
@@ -336,7 +348,7 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
                                      seed, si, step)
                 global_step += 1
                 row = {"stage": si + 1, "step": global_step, **metrics}
-                metrics_fh.write(json.dumps(row, sort_keys=True) + "\n")
+                metrics_fh.write(_json_row(row) + "\n")
                 if log_cb is not None:
                     log_cb(row)
             metrics_fh.flush()
@@ -348,12 +360,11 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
                     "global_step": global_step,
                     "stage_name": stage.name,
                     "seed": seed,
-                },
-                extra_arrays=opt.state_arrays())
+                })
             checkpoint_dirs.append(ckpt_dir)
     finally:
         metrics_fh.close()
     final_dir = checkpoint_dirs[-1] if checkpoint_dirs else resume_from
-    return CurriculumResult(checkpoint_dirs=checkpoint_dirs,
+    return CurriculumResult(model=model, checkpoint_dirs=checkpoint_dirs,
                             metrics_path=metrics_path,
                             final_dir=final_dir)

@@ -131,12 +131,10 @@ class AsrModel(Module):
 
 
 def save_model(directory: str, model: AsrModel,
-               train_state: dict | None = None,
-               extra_arrays: dict[str, np.ndarray] | None = None) -> None:
-    arrays = model.named_state()
-    if extra_arrays:
-        arrays.update(extra_arrays)
-    serialization.save_arrays(directory, arrays)
+               train_state: dict | None = None) -> None:
+    """Write a checkpoint: exactly model.named_state(), the live config,
+    the vocabulary, and train_state when given."""
+    serialization.save_arrays(directory, model.named_state())
     # the live encoder config: growth deepens the encoder past model.cfg
     cfg = replace(model.cfg, encoder=model.encoder.cfg)
     serialization.save_json(directory, serialization.CONFIG_FILE,
@@ -147,25 +145,21 @@ def save_model(directory: str, model: AsrModel,
                                 train_state)
 
 
-def load_model(directory: str) -> tuple[AsrModel, dict[str, np.ndarray]]:
+def load_model(directory: str) -> tuple[AsrModel, dict | None]:
     """Rebuild a model from a checkpoint directory.
 
-    Returns (model, leftover arrays) where the leftovers are entries that
-    belong to the trainer (optimizer moments), keyed by their full names.
+    Returns (model, train_state), train_state being None when the
+    checkpoint has none.  The checkpoint's arrays must match the
+    model's state name for name and shape for shape (CheckpointError
+    otherwise).
     """
     cfg = ModelConfig.from_dict(
         serialization.load_json(directory, serialization.CONFIG_FILE))
     vocab = load_vocab(os.path.join(directory, "vocab.json"))
     model = AsrModel(cfg, vocab)
-    arrays = serialization.load_arrays(directory)
-    model.load_state(arrays)
-    own = set(model.named_state())
-    leftovers = {k: v for k, v in arrays.items() if k not in own}
-    return model, leftovers
-
-
-def load_train_state(directory: str) -> dict | None:
-    path = os.path.join(directory, serialization.STATE_FILE)
-    if not os.path.isfile(path):
-        return None
-    return serialization.load_json(directory, serialization.STATE_FILE)
+    model.load_state(serialization.load_arrays(directory))
+    train_state = None
+    if os.path.isfile(os.path.join(directory, serialization.STATE_FILE)):
+        train_state = serialization.load_json(directory,
+                                              serialization.STATE_FILE)
+    return model, train_state

@@ -43,38 +43,47 @@ class Module:
 
     def named_parameters(self, prefix: str = ""):
         """Yield (dotted_name, Tensor) for every trainable parameter."""
-        for name, value in self.__dict__.items():
-            if name.startswith("_"):
-                continue
-            yield from _named_params_in(value, _join(prefix, name))
+        for name, holder in _named_state_in(self, prefix):
+            if isinstance(holder, Tensor):
+                yield name, holder
 
     def named_buffers(self, prefix: str = ""):
         """Yield (dotted_name, ndarray) for persistent non-trainable state."""
-        for name, value in self.__dict__.items():
-            if name.startswith("_"):
-                continue
-            yield from _named_buffers_in(value, _join(prefix, name))
+        for name, holder in _named_state_in(self, prefix):
+            if isinstance(holder, Buffer):
+                yield name, holder.value
 
     def named_state(self, prefix: str = ""):
         """Parameters plus buffers, as numpy arrays, for checkpointing."""
-        state = {name: p.data for name, p in self.named_parameters(prefix)}
-        state.update(dict(self.named_buffers(prefix)))
-        return state
+        return {name: _array(holder)
+                for name, holder in _named_state_in(self, prefix)}
 
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str = ""):
-        """Copy arrays into matching parameters/buffers; ignores extras."""
-        for name, p in self.named_parameters(prefix):
-            if name in arrays:
-                src = arrays[name]
-                if src.shape != p.data.shape:
-                    raise CheckpointError(
-                        f"shape mismatch loading {name}: "
-                        f"{src.shape} vs {p.data.shape}")
-                p.data = src.astype(p.data.dtype, copy=True)
-        buffer_names = {n for n, _ in self.named_buffers(prefix)}
-        for name in buffer_names:
-            if name in arrays:
-                _assign_buffer(self, name, arrays[name], prefix)
+    def load_state(self, arrays: dict[str, np.ndarray]):
+        """Copy arrays into the parameters and buffers, name for name.
+
+        The names must be exactly those of named_state() and every shape
+        must match; otherwise CheckpointError names the offending arrays
+        and nothing is copied.
+        """
+        holders = dict(_named_state_in(self, ""))
+        faults = [f"missing {name}"
+                  for name in sorted(holders.keys() - arrays.keys())]
+        faults += [f"unexpected {name}"
+                   for name in sorted(arrays.keys() - holders.keys())]
+        faults += [f"shape mismatch loading {name}: {arrays[name].shape} "
+                   f"vs {_array(holder).shape}"
+                   for name, holder in holders.items()
+                   if name in arrays
+                   and arrays[name].shape != _array(holder).shape]
+        if faults:
+            raise CheckpointError("state does not match the model: "
+                                  + "; ".join(faults))
+        for name, holder in holders.items():
+            copy = arrays[name].astype(_array(holder).dtype, copy=True)
+            if isinstance(holder, Tensor):
+                holder.data = copy
+            else:
+                holder.value = copy
 
     def zero_grad(self):
         for _, p in self.named_parameters():
@@ -107,50 +116,28 @@ def _modules_in(value):
             yield from _modules_in(item)
 
 
-def _named_params_in(value, path):
+def _named_state_in(value, path):
+    """Yield (dotted_name, holder) for every trainable Tensor and Buffer
+    reachable from value, in attribute order; dict entries go by key."""
     if isinstance(value, Tensor):
         if value.requires_grad:
             yield path, value
+    elif isinstance(value, Buffer):
+        yield path, value
     elif isinstance(value, Module):
-        yield from value.named_parameters(path)
+        for name, sub in value.__dict__.items():
+            if not name.startswith("_"):
+                yield from _named_state_in(sub, _join(path, name))
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            yield from _named_params_in(item, f"{path}.{i}")
+            yield from _named_state_in(item, f"{path}.{i}")
     elif isinstance(value, dict):
         for key in sorted(value, key=str):
-            yield from _named_params_in(value[key], f"{path}.{key}")
+            yield from _named_state_in(value[key], f"{path}.{key}")
 
 
-def _named_buffers_in(value, path):
-    if isinstance(value, Buffer):
-        yield path, value.value
-    elif isinstance(value, Module):
-        yield from value.named_buffers(path)
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _named_buffers_in(item, f"{path}.{i}")
-    elif isinstance(value, dict):
-        for key in sorted(value, key=str):
-            yield from _named_buffers_in(value[key], f"{path}.{key}")
-
-
-def _assign_buffer(module, dotted, array, prefix):
-    rel = dotted[len(prefix) + 1:] if prefix else dotted
-    parts = rel.split(".")
-    obj = module
-    for part in parts[:-1]:
-        if isinstance(obj, Module):
-            obj = obj.__dict__[part]
-        elif isinstance(obj, (list, tuple)):
-            obj = obj[int(part)]
-        elif isinstance(obj, dict):
-            key = part
-            if key not in obj:
-                key = int(part)
-            obj = obj[key]
-    leaf = parts[-1]
-    holder = obj.__dict__[leaf] if isinstance(obj, Module) else obj[leaf]
-    holder.value = np.asarray(array).astype(holder.value.dtype, copy=True)
+def _array(holder) -> np.ndarray:
+    return holder.data if isinstance(holder, Tensor) else holder.value
 
 
 def parameter(data: np.ndarray) -> Tensor:

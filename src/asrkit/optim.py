@@ -61,23 +61,3 @@ class AdamW(object):
                 update = update + self.weight_decay * p.data
             p.data = p.data - lr * update
         return lr
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_arrays(self, prefix: str = "optim") -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.params:
-            out[f"{prefix}.m.{name}"] = self.m[name]
-            out[f"{prefix}.v.{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray],
-                          prefix: str = "optim") -> None:
-        for name in self.params:
-            mk, vk = f"{prefix}.m.{name}", f"{prefix}.v.{name}"
-            if mk in arrays:
-                self.m[name] = arrays[mk].astype(self.m[name].dtype,
-                                                 copy=True)
-            if vk in arrays:
-                self.v[name] = arrays[vk].astype(self.v[name].dtype,
-                                                 copy=True)

@@ -26,26 +26,3 @@ def rng_for(seed: int, *labels: str) -> np.random.Generator:
         entropy.extend(_label_entropy(label))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
-
-def generator_state(gen: np.random.Generator) -> dict:
-    """JSON-friendly snapshot of a PCG64 generator's position."""
-    state = gen.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": str(state["state"]["state"]),
-        "inc": str(state["state"]["inc"]),
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-
-
-def restore_generator(snapshot: dict) -> np.random.Generator:
-    """Rebuild a Generator from a generator_state() snapshot."""
-    gen = np.random.Generator(np.random.PCG64())
-    gen.bit_generator.state = {
-        "bit_generator": snapshot["bit_generator"],
-        "state": {"state": int(snapshot["state"]), "inc": int(snapshot["inc"])},
-        "has_uint32": int(snapshot["has_uint32"]),
-        "uinteger": int(snapshot["uinteger"]),
-    }
-    return gen

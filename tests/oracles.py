@@ -99,7 +99,9 @@ def joint_brute_force(log_post: np.ndarray, decode_fn, vocab: Vocab,
                 att += float(decode_fn(head + seq[:i])[c])
             att += float(decode_fn(head + seq)[eos])
             ctc = float(ctc_table.get(seq, -np.inf))
-            joint = lambda_ctc * ctc + (1.0 - lambda_ctc) * att
+            # a zero-weighted term is left out, so 0 * -inf adds nothing
+            joint = sum(w * x for w, x in ((lambda_ctc, ctc),
+                                           (1.0 - lambda_ctc, att)) if w)
             key = (-joint, n, seq)
             if best is None or key < best[0]:
                 best = (key, seq, joint, ctc, att)

@@ -306,11 +306,18 @@ def test_curriculum_grows_losslessly_and_unfreezes_the_frontend_last(
     short = replace(plan, stages=plan.stages[:6]
                     + (replace(plan.stages[6], steps=10),))
     stage6 = result.checkpoint_dirs[5]
-    resumed = run_curriculum(load_model(stage6)[0], toy_corpus["train"],
+    passed, _ = load_model(stage6)
+    resumed = run_curriculum(passed, toy_corpus["train"],
                              toy_corpus["train_manifest"], short, seed=7,
                              out_dir=str(tmp_path / "short_stage7"),
                              resume_from=stage6)
     tuned = serialization.load_arrays(resumed.checkpoint_dirs[0])
+    # a resume trains the model it loads; the result returns that one
+    assert resumed.model is not passed
+    trained = resumed.model.named_state()
+    assert sorted(trained) == sorted(tuned)
+    for key, val in tuned.items():
+        assert np.array_equal(trained[key], val), key
     frozen = serialization.load_arrays(stage6)
     moved = [k for k in frozen
              if k.startswith("frontend.") and "codebook" not in k

@@ -95,7 +95,7 @@ def test_max_len_zero_returns_the_empty_sequence():
 
 @pytest.mark.parametrize("bad", [
     dict(lambda_ctc=-0.1), dict(lambda_ctc=1.1), dict(beam_size=0),
-    dict(nbest=0), dict(beam_size=2, nbest=3),
+    dict(nbest=0), dict(beam_size=2, nbest=3), dict(max_len=-1),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValidationError):
@@ -180,9 +180,9 @@ def test_early_stopping_matches_the_full_search_on_random_configs():
         full, full_calls = counted(seeded_decode_fn(trial, vocab.size))
         got = joint_beam_search(log_post, fast, vocab, cfg)
         want = full_beam_search(log_post, full, vocab, cfg)
-        # reprs are exact for floats and equal for the NaN scores that
-        # CTC-impossible prefixes get at lambda_ctc = 0
+        # reprs are exact for floats, -inf included
         assert repr(got) == repr(want), (trial, cfg)
+        assert not any(np.isnan(r.joint) for r in got), (trial, cfg)
         assert fast_calls == full_calls[:len(fast_calls)]
         stopped_early += len(fast_calls) < len(full_calls)
     assert stopped_early > 50
@@ -206,23 +206,12 @@ def impossible_last_char(row):
     return row
 
 
-# (config overrides, change to every decoder row) under which an
-# extension can gain, or a score can be NaN and so unranked
-NO_STOP_CASES = {
-    "length_bonus": (dict(length_penalty=0.5), lambda row: row),
-    "positive_rows": ({}, lambda row: row + 0.5),
-    "zero_ctc_weight": (dict(lambda_ctc=0.0), lambda row: row),
-    "impossible_token_at_ctc_weight_one": (dict(lambda_ctc=1.0),
-                                           impossible_last_char),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NO_STOP_CASES))
-def test_search_runs_to_max_len_when_the_stop_rule_does_not_hold(case):
-    overrides, change = NO_STOP_CASES[case]
+def search_both_ways(overrides, change):
+    """Early-stopping and full searches on a case built to settle early;
+    returns both results and decoder call counts."""
     vocab = build_vocab({"xx": "abc"})
     # blank-heavy frames and an <eos>-heavy decoder favour the empty
-    # output under both scores, so the search would otherwise stop early
+    # output under both scores, so the n-best list settles at once
     rows = np.random.default_rng(4).normal(size=(6, vocab.size))
     rows[:, 0] += 3.0
     log_post = rows - np.logaddexp.reduce(rows, axis=1, keepdims=True)
@@ -231,9 +220,40 @@ def test_search_runs_to_max_len_when_the_stop_rule_does_not_hold(case):
     fast, fast_calls = counted(lambda prefix: change(base(prefix)))
     full, full_calls = counted(lambda prefix: change(base(prefix)))
     got = joint_beam_search(log_post, fast, vocab, cfg)
-    assert repr(got) == repr(full_beam_search(log_post, full, vocab, cfg))
-    assert len(fast_calls) == len(full_calls) == full_search_calls(
-        cfg.max_len)
+    want = full_beam_search(log_post, full, vocab, cfg)
+    assert len(full_calls) == full_search_calls(cfg.max_len)
+    return got, want, len(fast_calls), len(full_calls)
+
+
+# (config overrides, change to every decoder row) under which an
+# extension can gain
+NO_STOP_CASES = {
+    "length_bonus": (dict(length_penalty=0.5), lambda row: row),
+    "positive_rows": ({}, lambda row: row + 0.5),
+}
+
+# cases at the ends of the weight range: the zero-weighted term is left
+# out of joint, so no score is NaN and the stop rule holds
+STOP_CASES = {
+    "zero_ctc_weight": (dict(lambda_ctc=0.0), lambda row: row),
+    "impossible_token_at_ctc_weight_one": (dict(lambda_ctc=1.0),
+                                           impossible_last_char),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_STOP_CASES))
+def test_search_runs_to_max_len_when_the_stop_rule_does_not_hold(case):
+    got, want, fast, full = search_both_ways(*NO_STOP_CASES[case])
+    assert repr(got) == repr(want)
+    assert fast == full
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_search_stops_early_at_the_ends_of_the_weight_range(case):
+    got, want, fast, full = search_both_ways(*STOP_CASES[case])
+    assert repr(got) == repr(want)
+    assert not any(np.isnan(r.joint) for r in got)
+    assert fast < full
 
 
 def test_transcribe_matches_the_full_search_on_a_trained_model(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -134,6 +135,30 @@ def test_decode_max_len_over_the_decoder_limit_exits_1(pipeline, tmp_path,
                  "--manifest", pipeline["manifest"], "--out", str(out),
                  "--max-len", "300", "--language", "en"]) == 1
     assert "max_target_len" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_negative_max_len_exits_1(pipeline, tmp_path, capsys):
+    out = tmp_path / "negative.jsonl"
+    assert main(["decode", "--model", pipeline["model"],
+                 "--manifest", pipeline["manifest"], "--out", str(out),
+                 "--max-len", "-1"]) == 1
+    assert "max_len" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_checkpoint_missing_an_array_exits_2(pipeline, tmp_path,
+                                                    capsys):
+    ckpt = tmp_path / "incomplete"
+    shutil.copytree(pipeline["model"], ckpt)
+    index = json.load(open(ckpt / "index.json"))
+    del index["arrays"]["encoder.ctc_proj.weight"]
+    json.dump(index, open(ckpt / "index.json", "w"))
+    out = tmp_path / "h.jsonl"
+    assert main(["decode", "--model", str(ckpt),
+                 "--manifest", pipeline["manifest"],
+                 "--out", str(out)]) == 2
+    assert "encoder.ctc_proj.weight" in capsys.readouterr().err
     assert not out.exists()
 
 

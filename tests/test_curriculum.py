@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from asrkit import serialization
 from asrkit.curriculum import (PAPER_DEPTHS, TOY_DEPTHS, CurriculumResult,
                                  Stage, StagePlan, build_stage_plan,
                                  filter_corpus, load_stage_plan, make_buckets,
@@ -14,8 +15,8 @@ from asrkit.curriculum import (PAPER_DEPTHS, TOY_DEPTHS, CurriculumResult,
 from asrkit.data import Utterance
 from asrkit.decoder import DecoderConfig
 from asrkit.encoder import EncoderConfig
-from asrkit.errors import ValidationError
-from asrkit.model import AsrModel, ModelConfig
+from asrkit.errors import CheckpointError, ValidationError
+from asrkit.model import AsrModel, ModelConfig, load_model, save_model
 from asrkit.ssl import SslConfig
 from asrkit.vocab import load_vocab
 
@@ -312,7 +313,6 @@ def test_resume_is_bit_identical_to_an_unbroken_run(toy_corpus, tmp_path):
 def test_resume_requires_train_state(toy_corpus, tmp_path):
     vocab = load_vocab(toy_corpus["vocab_path"])
     model = small_model(vocab)
-    from asrkit.model import save_model
     ckpt = str(tmp_path / "plain")
     save_model(ckpt, model)  # no train_state
     with pytest.raises(ValidationError):
@@ -326,7 +326,6 @@ def test_checkpoint_after_growth_reloads_the_grown_model(toy_corpus,
                                                          tmp_path):
     from asrkit import tensor as T
     from asrkit.data import load_features
-    from asrkit.model import load_model, save_model
     vocab = load_vocab(toy_corpus["vocab_path"])
     model = small_model(vocab)
     model.encoder.grow(4)
@@ -349,6 +348,70 @@ def test_checkpoint_after_growth_reloads_the_grown_model(toy_corpus,
             == b.final_log_posterior.data.tobytes())
     assert [(i, t.data.tobytes()) for i, t in a.tap_log_posteriors] == [
         (i, t.data.tobytes()) for i, t in b.tap_log_posteriors]
+
+
+# -- exact checkpoint loading ----------------------------------------------------
+
+
+def saved_small_model(vocab, tmp_path):
+    ckpt = str(tmp_path / "ckpt")
+    save_model(ckpt, small_model(vocab))
+    return ckpt
+
+
+def test_checkpoint_missing_an_array_does_not_load(toy_corpus, tmp_path):
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    ckpt = saved_small_model(vocab, tmp_path)
+    index_path = os.path.join(ckpt, "index.json")
+    index = json.load(open(index_path))
+    del index["arrays"]["encoder.ctc_proj.weight"]
+    json.dump(index, open(index_path, "w"))
+    with pytest.raises(CheckpointError,
+                       match=r"missing encoder\.ctc_proj\.weight"):
+        load_model(ckpt)
+
+
+def test_checkpoint_with_an_extra_array_does_not_load(toy_corpus, tmp_path):
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    ckpt = saved_small_model(vocab, tmp_path)
+    arrays = serialization.load_arrays(ckpt)
+    # the optimizer moment older checkpoints carried alongside the model
+    arrays["optim.m.encoder.ctc_proj.weight"] = np.zeros_like(
+        arrays["encoder.ctc_proj.weight"])
+    serialization.save_arrays(ckpt, arrays)
+    with pytest.raises(CheckpointError,
+                       match=r"unexpected optim\.m\.encoder\.ctc_proj"):
+        load_model(ckpt)
+
+
+def test_checkpoint_with_a_wrong_buffer_shape_does_not_load(toy_corpus,
+                                                           tmp_path):
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    ckpt = saved_small_model(vocab, tmp_path)
+    arrays = serialization.load_arrays(ckpt)
+    arrays["frontend.codebook"] = arrays["frontend.codebook"][:-1]
+    serialization.save_arrays(ckpt, arrays)
+    with pytest.raises(CheckpointError, match=r"frontend\.codebook"):
+        load_model(ckpt)
+    # a rejected state leaves the module as it was
+    model = small_model(vocab, seed=8)
+    before = {k: v.copy() for k, v in model.named_state().items()}
+    with pytest.raises(CheckpointError):
+        model.load_state(arrays)
+    after = model.named_state()
+    assert all(np.array_equal(after[k], v) for k, v in before.items())
+
+
+def test_stage_checkpoints_hold_exactly_the_model_state(trained_run):
+    result = trained_run["result"]
+    for stage, ckpt in zip(trained_run["plan"].stages,
+                           result.checkpoint_dirs):
+        model = AsrModel(trained_run["cfg"], trained_run["vocab"])
+        model.encoder.grow(stage.encoder_depth)
+        names = set(json.load(open(os.path.join(ckpt, "index.json")))
+                    ["arrays"])
+        assert names == set(model.named_state()), stage.name
+        assert not any(n.startswith("optim.") for n in names)
 
 
 def test_resume_from_a_grown_stage_keeps_the_grown_blocks(toy_corpus,
@@ -398,3 +461,31 @@ def test_impossible_labels_are_skipped_and_counted(toy_corpus, tmp_path):
                          stage_index=0, step=0)
     assert metrics["skipped_samples"] == 1
     assert np.isnan(metrics["loss_total"])
+
+
+def test_metrics_rows_stay_valid_json_when_every_utterance_is_skipped(
+        toy_corpus, tmp_path):
+    from dataclasses import replace
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    src = toy_corpus["train"][0]
+    # far more characters than the utterance has CTC frames
+    impossible = replace(src, transcript=src.transcript * 50)
+    plan = StagePlan(stages=(Stage(name="only", encoder_depth=2,
+                                   languages=None, steps=1, freeze=(),
+                                   warmup=1),),
+                     batch_max_frames=300)
+    logged = []
+    result = run_curriculum(small_model(vocab), [impossible],
+                            toy_corpus["train_manifest"], plan, seed=3,
+                            out_dir=str(tmp_path / "run"),
+                            log_cb=logged.append)
+    assert np.isnan(logged[0]["loss_total"])
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    with open(result.metrics_path) as fh:
+        rows = [json.loads(line, parse_constant=reject) for line in fh]
+    assert rows[0]["skipped_samples"] == 1
+    for key in ("loss_total", "loss_ctc", "loss_att", "loss_taps"):
+        assert rows[0][key] is None
