@@ -170,11 +170,3 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
                        att=h.att_logprob)
             for h in finished[: cfg.nbest]]
 
-
-def greedy_transcribe(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
-                      language: str | None = None,
-                      max_len: int = 64) -> BeamResult:
-    """Beam search with beam_size=1, nbest=1."""
-    cfg = BeamConfig(beam_size=1, nbest=1, max_len=max_len)
-    return joint_beam_search(ctc_log_post, decode_fn, vocab, cfg,
-                             language=language)[0]

@@ -47,12 +47,6 @@ class Module:
             if isinstance(holder, Tensor):
                 yield name, holder
 
-    def named_buffers(self, prefix: str = ""):
-        """Yield (dotted_name, ndarray) for persistent non-trainable state."""
-        for name, holder in _named_state_in(self, prefix):
-            if isinstance(holder, Buffer):
-                yield name, holder.value
-
     def named_state(self, prefix: str = ""):
         """Parameters plus buffers, as numpy arrays, for checkpointing."""
         return {name: _array(holder)
@@ -237,9 +231,7 @@ class MultiHeadAttention(Module):
             raise GraphConstructionError(
                 f"attention dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = dim // heads
         self.causal = causal
-        self.rel_radius = rel_bias_radius
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
@@ -253,38 +245,12 @@ class MultiHeadAttention(Module):
 
     def __call__(self, x: Tensor, kv: Tensor | None = None) -> Tensor:
         source = x if kv is None else kv
-        q = self.wq(x)
-        k = self.wk(source)
-        v = self.wv(source)
-        tq, tk = q.shape[0], k.shape[0]
-        scale = 1.0 / np.sqrt(self.head_dim)
-
-        bias3 = None
-        if self.rel_table is not None and kv is None:
-            offsets = np.arange(tk)[None, :] - np.arange(tq)[:, None]
-            ids = np.clip(offsets, -self.rel_radius, self.rel_radius) \
-                + self.rel_radius
-            bias3 = T.embedding(self.rel_table, ids)  # (tq, tk, heads)
-
-        mask = None
-        if self.causal:
-            mask = T.constant(
-                np.triu(np.full((tq, tk), -1e9, dtype=q.dtype), k=1))
-
-        outs = []
-        for h in range(self.heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            qh = q[:, lo:hi]
-            kh = k[:, lo:hi]
-            vh = v[:, lo:hi]
-            scores = T.matmul(qh, T.transpose(kh)) * scale
-            if bias3 is not None:
-                scores = scores + T.reshape(bias3[:, :, h:h + 1], (tq, tk))
-            if mask is not None:
-                scores = scores + mask
-            attn = self.drop(T.softmax(scores, axis=-1))
-            outs.append(T.matmul(attn, vh))
-        return self.wo(T.concat(outs, axis=1))
+        heads = T.attention(
+            self.wq(x), self.wk(source), self.wv(source), self.heads,
+            rel_table=self.rel_table if kv is None else None,
+            causal=self.causal, p=self.drop.p, rng=self.drop.rng,
+            training=self.drop.training)
+        return self.wo(heads)
 
 
 def sinusoidal_positions(length: int, dim: int,

@@ -170,3 +170,42 @@ def full_search_transcribe(model, feat, cfg, language: str | None = None
                 model.vocab, cfg, language=language)
     finally:
         model.train(was_training)
+
+
+def per_head_attention(q, k, v, heads: int, rel_table=None,
+                       causal: bool = False, p: float = 0.0, rng=None,
+                       training: bool = False):
+    """tensor.attention built head by head from 2-D primitives: slices,
+    a transpose, two matmuls, the bias gathered through embedding, the
+    mask, softmax and dropout per head, then a concat of the heads."""
+    tq, dim = q.shape
+    tk = k.shape[0]
+    head_dim = dim // heads
+    scale = 1.0 / np.sqrt(head_dim)
+
+    bias3 = None
+    if rel_table is not None:
+        radius = (rel_table.shape[0] - 1) // 2
+        offsets = np.arange(tk)[None, :] - np.arange(tq)[:, None]
+        ids = np.clip(offsets, -radius, radius) + radius
+        bias3 = T.embedding(rel_table, ids)  # (tq, tk, heads)
+
+    mask = None
+    if causal:
+        mask = T.constant(
+            np.triu(np.full((tq, tk), -1e9, dtype=q.dtype), k=1))
+
+    outs = []
+    for h in range(heads):
+        lo, hi = h * head_dim, (h + 1) * head_dim
+        qh = q[:, lo:hi]
+        kh = k[:, lo:hi]
+        vh = v[:, lo:hi]
+        scores = T.matmul(qh, T.transpose(kh)) * scale
+        if bias3 is not None:
+            scores = scores + T.reshape(bias3[:, :, h:h + 1], (tq, tk))
+        if mask is not None:
+            scores = scores + mask
+        attn = T.dropout(T.softmax(scores, axis=-1), p, rng, training)
+        outs.append(T.matmul(attn, vh))
+    return T.concat(outs, axis=1)

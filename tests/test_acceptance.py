@@ -138,6 +138,13 @@ def test_every_primitive_and_stack_gradient_matches_finite_differences():
                     T.sum_(a.reshape(2, 6) * m), [(3, 4)]),
         "ctc_loss": (lambda x: ctc_loss(T.log_softmax(x), ctc_labels),
                      [(7, 4)]),
+        # self-attention with relative bias, causal mask and seeded dropout
+        "attention": (lambda q, k, v, tab, m=T.constant(_r(5, 6)):
+                      T.sum_(T.attention(q, k, v, 2, rel_table=tab,
+                                         causal=True, p=0.3,
+                                         rng=np.random.default_rng(9),
+                                         training=True) * m),
+                      [(5, 6), (5, 6), (5, 6), (5, 2)]),
     }
     assert frozenset(checks) == T.registered_primitives()
     for name in sorted(checks):

