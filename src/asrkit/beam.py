@@ -1,6 +1,6 @@
 """Label-synchronous beam search over the joint CTC + decoder score.
 
-Each step expands every live hypothesis over the candidate tokens,
+Each step expands every live hypothesis over the vocabulary's characters,
 scoring extensions with the decoder's next-token log-probability and the
 CTC prefix score on the final CTC posterior, combined as
 
@@ -23,9 +23,8 @@ prefix is at most its prefix probability.  After each step the search
 therefore ends when the nbest-th finished hypothesis scores at least
 the best live one (plus a rounding margin, STOP_RTOL): every later
 finisher would score no higher and, being longer, lose the tie.  The
-rule applies while length_penalty <= 0 and every decoder row seen so
-far is <= 0 (a NaN entry fails that test); otherwise the search runs
-to max_len.  Either way the n-best list is the one running to max_len
+rule applies while every decoder row seen so far is <= 0 (a NaN entry
+fails that test); otherwise the search runs to max_len.  Either way the n-best list is the one running to max_len
 would give.  max_len must be >= 0, so the empty hypothesis always
 finishes and every search returns nbest results.
 """
@@ -51,7 +50,6 @@ class BeamConfig:
     lambda_ctc: float = 0.3
     max_len: int = 64
     nbest: int = 1
-    length_penalty: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_ctc <= 1.0:
@@ -106,22 +104,17 @@ def prefix_head(vocab: Vocab, language: str | None) -> tuple[int, ...]:
 
 
 def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
-                      cfg: BeamConfig, language: str | None = None,
-                      candidates: tuple[int, ...] | None = None
+                      cfg: BeamConfig, language: str | None = None
                       ) -> list[BeamResult]:
     """Search for the best character sequences.
 
     ctc_log_post: (T', V) final CTC log-posteriors (numpy).
     decode_fn:    maps a full decoder-side prefix (sos, language,
                   chars...) to a V-vector of next-token log-probs.
-    candidates:   character ids to expand over; defaults to every
-                  non-special token in the vocabulary.
 
     Returns the nbest best finished hypotheses.  The search ends early
     once the n-best list is settled (see the module docstring).
     """
-    if candidates is None:
-        candidates = vocab.char_ids
     eos = vocab.eos_id
     head = prefix_head(vocab, language)
 
@@ -129,7 +122,7 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
                        att_logprob=0.0, ctc_logprob=0.0,
                        lambda_ctc=cfg.lambda_ctc)]
     finished: list[Hypothesis] = []
-    can_stop = cfg.length_penalty <= 0.0
+    can_stop = True
 
     for _ in range(cfg.max_len + 1):
         if not live:
@@ -139,21 +132,19 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
             att_next = decode_fn(head + hyp.tokens)
             can_stop = can_stop and bool(np.all(att_next <= 0.0))
             psi, r_new = ctc_prefix_extend_all(ctc_log_post, hyp.ctc_state)
-            for c in candidates:
+            for c in vocab.char_ids:
                 if len(hyp.tokens) >= cfg.max_len:
                     continue
                 extensions.append(Hypothesis(
                     tokens=hyp.tokens + (c,),
-                    ctc_state=PrefixState(r=r_new[c], last=int(c),
-                                          score=float(psi[c])),
+                    ctc_state=PrefixState(r=r_new[c], last=int(c)),
                     att_logprob=hyp.att_logprob + float(att_next[c]),
                     ctc_logprob=float(psi[c]),
                     lambda_ctc=cfg.lambda_ctc))
             finished.append(Hypothesis(
                 tokens=hyp.tokens,
                 ctc_state=None,
-                att_logprob=hyp.att_logprob + float(att_next[eos])
-                + cfg.length_penalty * len(hyp.tokens),
+                att_logprob=hyp.att_logprob + float(att_next[eos]),
                 ctc_logprob=ctc_complete_logprob(hyp.ctc_state),
                 lambda_ctc=cfg.lambda_ctc,
                 finished=True))

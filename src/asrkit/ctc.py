@@ -1,4 +1,4 @@
-"""CTC: loss, collapse rule, greedy decoding, and prefix scoring.
+"""CTC: loss and prefix scoring.
 
 The loss is a registered autodiff primitive backed by the kernel layer
 (compiled when available).  Prefix scoring is pure inference math used
@@ -54,25 +54,6 @@ def ctc_loss(log_post: Tensor, labels) -> Tensor:
     return apply_primitive("ctc_loss", (log_post,), out, bwd)
 
 
-def ctc_collapse(frame_ids) -> list[int]:
-    """Collapse consecutive repeats, then remove blanks."""
-    out = []
-    prev = None
-    for i in frame_ids:
-        i = int(i)
-        if i != prev:
-            if i != 0:
-                out.append(i)
-            prev = i
-    return out
-
-
-def ctc_greedy(log_post: np.ndarray) -> list[int]:
-    """Per-frame argmax (ties break to the lowest id), then collapse."""
-    path = np.argmax(log_post, axis=1)
-    return ctc_collapse(path)
-
-
 @dataclass
 class PrefixState:
     """CTC prefix-scoring state for one hypothesis prefix.
@@ -83,7 +64,6 @@ class PrefixState:
 
     r: np.ndarray            # (T, 2) float64
     last: int                # final token id, -1 for the empty prefix
-    score: float             # log prefix probability
 
     @property
     def empty(self) -> bool:
@@ -96,7 +76,7 @@ def ctc_prefix_initial(log_post: np.ndarray) -> PrefixState:
     T = log_post.shape[0]
     r = np.full((T, 2), -np.inf)
     r[:, 1] = np.cumsum(log_post[:, 0])
-    return PrefixState(r=r, last=-1, score=0.0)
+    return PrefixState(r=r, last=-1)
 
 
 def ctc_prefix_extend_all(log_post: np.ndarray, state: PrefixState):
@@ -108,16 +88,6 @@ def ctc_prefix_extend_all(log_post: np.ndarray, state: PrefixState):
     return kernels.ctc_prefix_all(
         np.asarray(log_post, dtype=np.float64), state.last, state.r,
         state.empty)
-
-
-def prefix_score_extend(log_post: np.ndarray, state: PrefixState,
-                        token: int) -> PrefixState:
-    """Extend a prefix by one non-blank token."""
-    if token == 0:
-        raise ImpossibleAlignmentError("cannot extend a prefix by blank")
-    psi, r_new = ctc_prefix_extend_all(log_post, state)
-    return PrefixState(r=r_new[token], last=int(token),
-                       score=float(psi[token]))
 
 
 def ctc_complete_logprob(state: PrefixState) -> float:

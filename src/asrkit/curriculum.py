@@ -25,7 +25,7 @@ from .data import Utterance, load_features
 from .errors import ImpossibleAlignmentError, ValidationError
 from .model import (ATT_WEIGHT, CTC_WEIGHT, TAP_WEIGHT, AsrModel,
                     load_model, save_model)
-from .nn import Dropout
+from .nn import seed_dropout
 from .optim import AdamW
 from .rng import rng_for
 
@@ -228,20 +228,11 @@ def trainable_parameters(model: AsrModel, freeze: tuple[str, ...]
     return params
 
 
-def _seed_dropout(model: AsrModel, seed: int, stage_index: int,
-                  step: int) -> None:
-    # per-step streams keep dropout independent of call history
-    for i, mod in enumerate(model._walk_modules()):
-        if isinstance(mod, Dropout):
-            mod.rng = rng_for(seed, "dropout", str(stage_index), str(step),
-                              str(i))
-
-
 def train_step(model: AsrModel, opt: AdamW, batch, features_by_id,
                seed: int, stage_index: int, step: int) -> dict:
     """One optimizer step over a batch; utterances whose label cannot be
     aligned are skipped and counted."""
-    _seed_dropout(model, seed, stage_index, step)
+    seed_dropout(model, seed, str(stage_index), str(step))
     losses = []
     skipped = 0
     parts = {"ctc": 0.0, "att": 0.0, "taps": 0.0}

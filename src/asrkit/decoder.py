@@ -14,7 +14,7 @@ from . import tensor as T
 from .encoder import EncoderOutput
 from .errors import ValidationError
 from .nn import (Dropout, Embedding, FeedForward, LayerNorm, Linear, Module,
-                 MultiHeadAttention, sinusoidal_positions)
+                 MultiHeadAttention, inference, sinusoidal_positions)
 from .rng import rng_for
 from .tensor import Tensor
 
@@ -98,16 +98,9 @@ class Decoder(Module):
         back; one already in eval mode (as under AsrModel.transcribe) is
         used as it is.
         """
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            with T.no_grad():
-                logits = self.forward_logits(enc.latent, prefix)
-                logp = T.log_softmax(logits[logits.shape[0] - 1:, :], axis=-1)
-        finally:
-            if was_training:
-                self.train()
+        with inference(self):
+            logits = self.forward_logits(enc.latent, prefix)
+            logp = T.log_softmax(logits[logits.shape[0] - 1:, :], axis=-1)
         return logp.data.reshape(-1).astype(np.float64)
 
     def teacher_forced_loss(self, enc: EncoderOutput, target) -> Tensor:

@@ -47,7 +47,6 @@ class EncoderConfig:
     subsample_kernel: int = 3
     dropout: float = 0.0
     rel_bias_radius: int = 8
-    self_conditioning: bool = True
     tap_layers: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
@@ -87,7 +86,6 @@ class EncoderOutput:
     latent: Tensor                       # (T', D) at 50 fps
     tap_log_posteriors: list[tuple[int, Tensor]]  # (block index, (T', V))
     final_log_posterior: Tensor          # (T', V) from the final CTC branch
-    subsampled_length: int
 
 
 class ConvSubsample(Module):
@@ -178,8 +176,7 @@ class FeedbackLayer(Module):
     """Self-conditioning at one tap: add a zero-initialized projection of
     the tap posterior back into the hidden stream, then layer norm.
 
-    The layer norm is applied whether or not conditioning is enabled, so
-    a zeroed projection and disabled conditioning agree bit-for-bit.
+    While the projection is zero the layer only layer-norms the stream.
     """
 
     def __init__(self, vocab_size: int, dim: int):
@@ -191,9 +188,6 @@ class FeedbackLayer(Module):
         # softmax of a normalized log-distribution is exactly the
         # distribution, so this accepts adapted posteriors unchanged
         return self.norm(hidden + self.proj(T.softmax(tap_log_post, axis=-1)))
-
-    def passthrough(self, hidden: Tensor) -> Tensor:
-        return self.norm(hidden)
 
 
 class Encoder(Module):
@@ -246,16 +240,11 @@ class Encoder(Module):
                     adapted = apply_adaptation(tap.data, adaptation)
                     if adapted is not tap.data:
                         tap = T.constant(adapted)
-                fb = self.feedback[str(i)]
-                if self.cfg.self_conditioning:
-                    h = fb(h, tap)
-                else:
-                    h = fb.passthrough(h)
+                h = self.feedback[str(i)](h, tap)
                 taps.append((i, tap))
         final = T.log_softmax(self.ctc_proj(h), axis=-1)
         return EncoderOutput(latent=h, tap_log_posteriors=taps,
-                             final_log_posterior=final,
-                             subsampled_length=h.shape[0])
+                             final_log_posterior=final)
 
     def grow(self, new_depth: int) -> None:
         """Extend the stack to new_depth blocks in place.

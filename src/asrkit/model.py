@@ -12,10 +12,10 @@ from .ctc import ctc_loss
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig, EncoderOutput
 from .errors import ValidationError
-from .nn import Module
+from .nn import Module, inference
 from .ssl import AudioFeatures, Frontend, SslConfig
 from .tensor import Tensor
-from .vocab import Vocab, load_vocab, save_vocab
+from .vocab import Vocab, save_vocab
 
 CTC_WEIGHT = 0.3
 ATT_WEIGHT = 0.7
@@ -99,21 +99,15 @@ class AsrModel(Module):
                    adaptation: LanguageMask | None = None
                    ) -> list[BeamResult]:
         self.check_max_len(cfg, language)
-        was_training = self.training
-        self.eval()
-        try:
-            with T.no_grad():
-                enc = self.encode(feat, adaptation=adaptation)
+        with inference(self):
+            enc = self.encode(feat, adaptation=adaptation)
 
-                def decode_fn(prefix):
-                    return self.decoder.decode_step(enc, np.asarray(prefix))
+            def decode_fn(prefix):
+                return self.decoder.decode_step(enc, np.asarray(prefix))
 
-                results = joint_beam_search(
-                    enc.final_log_posterior.data.astype(np.float64),
-                    decode_fn, self.vocab, cfg, language=language)
-        finally:
-            self.train(was_training)
-        return results
+            return joint_beam_search(
+                enc.final_log_posterior.data.astype(np.float64),
+                decode_fn, self.vocab, cfg, language=language)
 
     def check_max_len(self, cfg: BeamConfig, language: str | None = None
                       ) -> None:
@@ -139,7 +133,8 @@ def save_model(directory: str, model: AsrModel,
     cfg = replace(model.cfg, encoder=model.encoder.cfg)
     serialization.save_json(directory, serialization.CONFIG_FILE,
                             cfg.to_dict())
-    save_vocab(os.path.join(directory, "vocab.json"), model.vocab)
+    save_vocab(os.path.join(directory, serialization.VOCAB_FILE),
+               model.vocab)
     if train_state is not None:
         serialization.save_json(directory, serialization.STATE_FILE,
                                 train_state)
@@ -149,13 +144,15 @@ def load_model(directory: str) -> tuple[AsrModel, dict | None]:
     """Rebuild a model from a checkpoint directory.
 
     Returns (model, train_state), train_state being None when the
-    checkpoint has none.  The checkpoint's arrays must match the
-    model's state name for name and shape for shape (CheckpointError
-    otherwise).
+    checkpoint has none.  config.json and vocab.json must build a model
+    and its vocabulary, and the checkpoint's arrays must match the
+    model's state name for name and shape for shape; CheckpointError
+    names the fault otherwise.
     """
-    cfg = ModelConfig.from_dict(
-        serialization.load_json(directory, serialization.CONFIG_FILE))
-    vocab = load_vocab(os.path.join(directory, "vocab.json"))
+    cfg = serialization.load_json_as(directory, serialization.CONFIG_FILE,
+                                     ModelConfig.from_dict)
+    vocab = serialization.load_json_as(directory, serialization.VOCAB_FILE,
+                                       Vocab.from_dict)
     model = AsrModel(cfg, vocab)
     model.load_state(serialization.load_arrays(directory))
     train_state = None

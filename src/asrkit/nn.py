@@ -1,9 +1,12 @@
 """Module system and shared neural building blocks."""
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, GraphConstructionError
+from .rng import rng_for
 from .tensor import Tensor
 
 
@@ -84,6 +87,24 @@ class Module:
             p.zero_grad()
 
 
+@contextmanager
+def inference(module: Module):
+    """Run the block with module in eval mode under no_grad.
+
+    A module that was training is switched to eval and back; one already
+    in eval mode is left as it is.
+    """
+    was_training = module.training
+    if was_training:
+        module.eval()
+    try:
+        with T.no_grad():
+            yield
+    finally:
+        if was_training:
+            module.train()
+
+
 class Buffer:
     """Persistent non-trainable array owned by a module (e.g. a codebook)."""
 
@@ -141,7 +162,7 @@ def parameter(data: np.ndarray) -> Tensor:
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int,
                  rng: np.random.Generator | None = None,
-                 bias: bool = True, zero_init: bool = False):
+                 zero_init: bool = False):
         super().__init__()
         if zero_init:
             if rng is not None:
@@ -154,13 +175,10 @@ class Linear(Module):
                 raise GraphConstructionError("Linear needs an rng unless zero_init")
             w = glorot(rng, (in_dim, out_dim), in_dim, out_dim)
         self.weight = parameter(w)
-        self.bias = parameter(np.zeros(out_dim, dtype=np.float32)) if bias else None
+        self.bias = parameter(np.zeros(out_dim, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return T.matmul(x, self.weight) + self.bias
 
 
 class LayerNorm(Module):
@@ -188,8 +206,8 @@ class Embedding(Module):
 class Dropout(Module):
     """Train-time dropout; identity in eval mode.
 
-    The trainer reseeds .rng each step so draws depend only on
-    (seed, stage, step), never on call history.
+    Both training loops reseed .rng each step (seed_dropout), so draws
+    depend only on the seed and the step, never on call history.
     """
 
     def __init__(self, p: float = 0.0):
@@ -199,6 +217,15 @@ class Dropout(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.dropout(x, self.p, self.rng, self._training)
+
+
+def seed_dropout(module: Module, seed: int, *labels: str) -> None:
+    """Give each Dropout layer under module its own stream, named
+    (seed, "dropout", *labels, i) with i the layer's position in the
+    module walk, so no two layers draw the same numbers."""
+    for i, mod in enumerate(module._walk_modules()):
+        if isinstance(mod, Dropout):
+            mod.rng = rng_for(seed, "dropout", *labels, str(i))
 
 
 class FeedForward(Module):

@@ -13,24 +13,27 @@ def warmup_inv_sqrt(step: int, peak_lr: float, warmup: int) -> float:
     return peak_lr * min(step / warmup, (warmup / step) ** 0.5)
 
 
+BETA1 = 0.9
+BETA2 = 0.98
+EPS = 1e-8
+
+
 class AdamW(object):
-    """Decoupled-weight-decay Adam over a named parameter dict.
+    """Adam over a named parameter dict, with the fixed moment decays
+    BETA1 and BETA2 and EPS.  The weight decay is 0, so the update is
+    plain Adam.
 
     Only the parameters handed to the constructor are ever updated, so
     freezing is done by leaving parameters out.
     """
 
     def __init__(self, params: dict[str, Tensor], peak_lr: float = 1e-3,
-                 warmup: int = 100, betas=(0.9, 0.98), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 warmup: int = 100):
         if warmup < 1:
             raise ValidationError("warmup must be at least 1")
         self.params = dict(params)
         self.peak_lr = peak_lr
         self.warmup = warmup
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -43,21 +46,18 @@ class AdamW(object):
         """Apply one update from the accumulated gradients; returns lr."""
         self.t += 1
         lr = warmup_inv_sqrt(self.t, self.peak_lr, self.warmup)
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data = p.data - lr * update
         return lr

@@ -6,8 +6,8 @@ A checkpoint directory holds:
   params.bin   — the arrays' raw little-endian bytes, concatenated in
                  index order
   config.json  — model/build configuration (written by the caller)
-  train_state.json — optional optimizer/progress state (written by the
-                 caller)
+  vocab.json   — the model's vocabulary (model checkpoints only)
+  train_state.json — optional training progress (written by the caller)
 
 Round-tripping an array dict through save/load is bit-exact.
 """
@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ValidationError
 
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8"),
            "<i8": np.dtype("<i8")}
@@ -25,6 +25,7 @@ _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8"),
 INDEX_FILE = "index.json"
 PARAMS_FILE = "params.bin"
 CONFIG_FILE = "config.json"
+VOCAB_FILE = "vocab.json"
 STATE_FILE = "train_state.json"
 
 
@@ -66,8 +67,7 @@ def load_arrays(directory: str) -> dict[str, np.ndarray]:
         raise CheckpointError(
             f"{directory!r} is not a checkpoint directory "
             f"(missing {INDEX_FILE} or {PARAMS_FILE})")
-    with open(index_path, encoding="utf-8") as fh:
-        index = json.load(fh)["arrays"]
+    index = load_json(directory, INDEX_FILE)["arrays"]
     with open(params_path, "rb") as fh:
         blob = fh.read()
     out = {}
@@ -96,8 +96,30 @@ def save_json(directory: str, filename: str, payload: dict) -> None:
 
 
 def load_json(directory: str, filename: str) -> dict:
+    """Read one JSON object; a file that is missing, does not parse or
+    holds something else raises CheckpointError naming it."""
     path = os.path.join(directory, filename)
     if not os.path.isfile(path):
         raise CheckpointError(f"missing {filename} in {directory!r}")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise CheckpointError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path} does not hold a JSON object")
+    return payload
+
+
+def load_json_as(directory: str, filename: str, build):
+    """load_json, then build(payload); a payload that build rejects (a
+    missing or unknown field, a bad value) raises CheckpointError naming
+    the file and the fault."""
+    path = os.path.join(directory, filename)
+    payload = load_json(directory, filename)
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

@@ -18,7 +18,7 @@ import numpy as np
 from . import optim, serialization, tensor as T
 from .errors import ValidationError
 from .nn import (Buffer, Dropout, FeedForward, LayerNorm, Linear, Module,
-                 MultiHeadAttention, parameter)
+                 MultiHeadAttention, inference, parameter, seed_dropout)
 from .rng import rng_for
 from .tensor import Tensor
 
@@ -230,14 +230,8 @@ class Frontend(Module):
 
     def extract_features(self, feat: AudioFeatures) -> np.ndarray:
         """Deterministic eval-mode features, one row per input frame."""
-        was_training = self.training
-        self.eval()
-        try:
-            with T.no_grad():
-                out = self.forward_latent(T.constant(feat.frames))
-        finally:
-            self.train(was_training)
-        return out.data
+        with inference(self):
+            return self.forward_latent(T.constant(feat.frames)).data
 
     # -- pretraining pieces --------------------------------------------------
 
@@ -350,7 +344,8 @@ def pretrain(frontend: Frontend, utterances, steps: int, seed: int,
     """Pretrain on a list of AudioFeatures; returns per-step metrics.
 
     The codebook is initialized from a sample of the training frames on
-    entry.  One utterance per step, chosen by a seeded stream.
+    entry.  One utterance per step, chosen by a seeded stream; every
+    dropout layer is reseeded each step.
     """
     if not utterances:
         raise ValidationError("pretraining needs at least one utterance")
@@ -368,6 +363,7 @@ def pretrain(frontend: Frontend, utterances, steps: int, seed: int,
     for step in range(steps):
         pick_rng = rng_for(seed, "ssl.pick", str(step))
         utt = utterances[int(pick_rng.integers(len(utterances)))]
+        seed_dropout(frontend, seed, "ssl", str(step))
         loss, metrics = frontend.ssl_loss(
             utt, rng_for(seed, "ssl.mask", str(step)))
         frontend.zero_grad()
@@ -390,9 +386,11 @@ def save_frontend(directory: str, frontend: Frontend) -> None:
 
 
 def load_frontend(directory: str) -> Frontend:
-    payload = serialization.load_json(directory, serialization.CONFIG_FILE)
-    frontend = Frontend(SslConfig.from_dict(payload["frontend"]),
-                        seed=int(payload.get("seed", 0)))
+    cfg, seed = serialization.load_json_as(
+        directory, serialization.CONFIG_FILE,
+        lambda payload: (SslConfig.from_dict(payload["frontend"]),
+                         int(payload.get("seed", 0))))
+    frontend = Frontend(cfg, seed=seed)
     frontend.load_state(serialization.load_arrays(directory))
     return frontend
 
@@ -400,17 +398,12 @@ def load_frontend(directory: str) -> Frontend:
 def eval_masked_accuracy(frontend: Frontend, utterances, seed: int,
                          draws: int = 1) -> float:
     """Average masked-prediction accuracy with fresh masks, no updates."""
-    was_training = frontend.training
-    frontend.eval()
     total, hits = 0, 0.0
-    try:
-        with T.no_grad():
-            for d in range(draws):
-                for i, utt in enumerate(utterances):
-                    rng = rng_for(seed, "ssl.eval", str(d), str(i))
-                    _, metrics = frontend.ssl_loss(utt, rng)
-                    hits += metrics["mlm_accuracy"] * metrics["masked_frames"]
-                    total += metrics["masked_frames"]
-    finally:
-        frontend.train(was_training)
+    with inference(frontend):
+        for d in range(draws):
+            for i, utt in enumerate(utterances):
+                rng = rng_for(seed, "ssl.eval", str(d), str(i))
+                _, metrics = frontend.ssl_loss(utt, rng)
+                hits += metrics["mlm_accuracy"] * metrics["masked_frames"]
+                total += metrics["masked_frames"]
     return hits / max(total, 1)

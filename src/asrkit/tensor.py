@@ -36,9 +36,8 @@ def registered_primitives() -> frozenset[str]:
 
 for _name in (
     "matmul", "add", "mul", "softmax", "log_softmax", "layer_norm",
-    "conv1d", "depthwise_conv1d", "glu", "sigmoid", "swish", "relu",
-    "embedding", "concat", "slice", "sum", "mean", "cross_entropy",
-    "dropout", "transpose", "reshape", "attention",
+    "conv1d", "depthwise_conv1d", "glu", "swish", "embedding", "concat",
+    "slice", "sum", "cross_entropy", "dropout", "attention",
 ):
     register_primitive(_name)
 
@@ -142,19 +141,8 @@ class Tensor:
     def __getitem__(self, key):
         return slice_(self, key)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self):
-        return transpose(self)
-
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def _as_tensor(value, like: Tensor) -> Tensor:
@@ -455,15 +443,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid_np(x.data)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return apply_primitive("sigmoid", (x,), out, bwd)
-
-
 def swish(x: Tensor) -> Tensor:
     s = _sigmoid_np(x.data)
     out = x.data * s
@@ -473,16 +452,6 @@ def swish(x: Tensor) -> Tensor:
         return (g * (s + xd * s * (1.0 - s)),)
 
     return apply_primitive("swish", (x,), out, bwd)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
-    mask = x.data > 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return apply_primitive("relu", (x,), out, bwd)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -550,33 +519,6 @@ def slice_(x: Tensor, key) -> Tensor:
     return apply_primitive("slice", (x,), out, bwd)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise GraphConstructionError(
-            f"transpose expects a 2-D tensor, got {x.shape}")
-    out = x.data.T.copy()
-
-    def bwd(g):
-        return (g.T,)
-
-    return apply_primitive("transpose", (x,), out, bwd)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    try:
-        out = x.data.reshape(shape)
-    except ValueError:
-        raise GraphConstructionError(
-            f"cannot reshape {x.shape} to {shape}") from None
-    old = x.data.shape
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return apply_primitive("reshape", (x,), out.copy(), bwd)
-
-
 def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = x.data.sum(axis=axis, keepdims=keepdims)
     shape = x.data.shape
@@ -587,19 +529,6 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return apply_primitive("sum", (x,), out, bwd)
-
-
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    shape = x.data.shape
-    count = x.data.size if axis is None else shape[axis]
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy() / count,)
-
-    return apply_primitive("mean", (x,), out, bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

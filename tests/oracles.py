@@ -9,6 +9,8 @@ from asrkit import tensor as T
 from asrkit.beam import BeamResult, Hypothesis, prefix_head
 from asrkit.ctc import (PrefixState, ctc_complete_logprob,
                         ctc_prefix_extend_all, ctc_prefix_initial)
+from asrkit.errors import GraphConstructionError
+from asrkit.nn import inference
 from asrkit.rng import rng_for
 from asrkit.vocab import Vocab
 
@@ -131,16 +133,14 @@ def full_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab, cfg,
                 for c in vocab.char_ids:
                     extensions.append(Hypothesis(
                         tokens=hyp.tokens + (c,),
-                        ctc_state=PrefixState(r=r_new[c], last=int(c),
-                                              score=float(psi[c])),
+                        ctc_state=PrefixState(r=r_new[c], last=int(c)),
                         att_logprob=hyp.att_logprob + float(att_next[c]),
                         ctc_logprob=float(psi[c]),
                         lambda_ctc=cfg.lambda_ctc))
             finished.append(Hypothesis(
                 tokens=hyp.tokens,
                 ctc_state=None,
-                att_logprob=hyp.att_logprob + float(att_next[eos])
-                + cfg.length_penalty * len(hyp.tokens),
+                att_logprob=hyp.att_logprob + float(att_next[eos]),
                 ctc_logprob=ctc_complete_logprob(hyp.ctc_state),
                 lambda_ctc=cfg.lambda_ctc,
                 finished=True))
@@ -156,20 +156,48 @@ def full_search_transcribe(model, feat, cfg, language: str | None = None
                            ) -> list:
     """AsrModel.transcribe with full_beam_search in place of the
     early-stopping search; the model's train/eval mode is restored."""
-    was_training = model.training
-    model.eval()
+    with inference(model):
+        enc = model.encode(feat)
+
+        def decode_fn(prefix):
+            return model.decoder.decode_step(enc, np.asarray(prefix))
+
+        return full_beam_search(
+            enc.final_log_posterior.data.astype(np.float64), decode_fn,
+            model.vocab, cfg, language=language)
+
+
+# two 2-D primitives only the head-by-head reference below needs;
+# registered here so graphs built by the reference stay legal
+T.register_primitive("transpose")
+T.register_primitive("reshape")
+
+
+def transpose(x):
+    if x.ndim != 2:
+        raise GraphConstructionError(
+            f"transpose expects a 2-D tensor, got {x.shape}")
+    out = x.data.T.copy()
+
+    def bwd(g):
+        return (g.T,)
+
+    return T.apply_primitive("transpose", (x,), out, bwd)
+
+
+def reshape(x, shape):
+    shape = tuple(int(s) for s in shape)
     try:
-        with T.no_grad():
-            enc = model.encode(feat)
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise GraphConstructionError(
+            f"cannot reshape {x.shape} to {shape}") from None
+    old = x.data.shape
 
-            def decode_fn(prefix):
-                return model.decoder.decode_step(enc, np.asarray(prefix))
+    def bwd(g):
+        return (g.reshape(old),)
 
-            return full_beam_search(
-                enc.final_log_posterior.data.astype(np.float64), decode_fn,
-                model.vocab, cfg, language=language)
-    finally:
-        model.train(was_training)
+    return T.apply_primitive("reshape", (x,), out.copy(), bwd)
 
 
 def per_head_attention(q, k, v, heads: int, rel_table=None,
@@ -201,9 +229,9 @@ def per_head_attention(q, k, v, heads: int, rel_table=None,
         qh = q[:, lo:hi]
         kh = k[:, lo:hi]
         vh = v[:, lo:hi]
-        scores = T.matmul(qh, T.transpose(kh)) * scale
+        scores = T.matmul(qh, transpose(kh)) * scale
         if bias3 is not None:
-            scores = scores + T.reshape(bias3[:, :, h:h + 1], (tq, tk))
+            scores = scores + reshape(bias3[:, :, h:h + 1], (tq, tk))
         if mask is not None:
             scores = scores + mask
         attn = T.dropout(T.softmax(scores, axis=-1), p, rng, training)

@@ -173,8 +173,7 @@ def test_early_stopping_matches_the_full_search_on_random_configs():
         beam = int(rng.integers(1, 6))
         cfg = BeamConfig(beam_size=beam, nbest=int(rng.integers(1, beam + 1)),
                          max_len=int(rng.integers(0, 10)),
-                         lambda_ctc=float(rng.choice([0.0, 0.3, 1.0])),
-                         length_penalty=float(rng.choice([0.0, -0.5])))
+                         lambda_ctc=float(rng.choice([0.0, 0.3, 1.0])))
         log_post = rand_log_post(rng, t=int(rng.integers(1, 12)),
                                  v=vocab.size)
         fast, fast_calls = counted(seeded_decode_fn(trial, vocab.size))
@@ -229,7 +228,6 @@ def search_both_ways(overrides, change):
 # (config overrides, change to every decoder row) under which an
 # extension can gain
 NO_STOP_CASES = {
-    "length_bonus": (dict(length_penalty=0.5), lambda row: row),
     "positive_rows": ({}, lambda row: row + 0.5),
 }
 

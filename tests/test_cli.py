@@ -162,6 +162,44 @@ def test_decode_checkpoint_missing_an_array_exits_2(pipeline, tmp_path,
     assert not out.exists()
 
 
+def add_unknown_encoder_field(text):
+    # an older checkpoint still records the removed self_conditioning switch
+    payload = json.loads(text)
+    payload["encoder"]["self_conditioning"] = True
+    return json.dumps(payload)
+
+
+def drop_frontend_section(text):
+    payload = json.loads(text)
+    del payload["frontend"]
+    return json.dumps(payload)
+
+
+BAD_CONFIGS = {
+    "unknown_field": (add_unknown_encoder_field, "self_conditioning"),
+    "no_frontend": (drop_frontend_section, "missing field 'frontend'"),
+    "not_json": (lambda text: text[: len(text) // 2], "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_decode_checkpoint_with_a_bad_config_exits_2(pipeline, tmp_path,
+                                                     capsys, case):
+    corrupt, fault = BAD_CONFIGS[case]
+    ckpt = tmp_path / "bad-config"
+    shutil.copytree(pipeline["model"], ckpt)
+    config = ckpt / "config.json"
+    config.write_text(corrupt(config.read_text()))
+    out = tmp_path / "h.jsonl"
+    assert main(["decode", "--model", str(ckpt),
+                 "--manifest", pipeline["manifest"],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "config.json" in err and fault in err
+    assert not out.exists()
+
+
 def test_score_report(pipeline):
     payload = json.load(open(os.path.join(pipeline["report"],
                                           "report.json")))

@@ -7,7 +7,7 @@ import pytest
 
 from asrkit.data import (LanguageSpec, SyntheticSpec, Utterance,
                            gen_synthetic_corpus, load_manifest,
-                           num_threads, read_feature_file,
+                           read_feature_file,
                            read_feature_header, save_manifest,
                            validate_manifest, write_feature_file)
 from asrkit.errors import ValidationError
@@ -67,16 +67,6 @@ def test_different_seed_changes_output(tmp_path):
     assert a[os.path.join("features", sorted(os.listdir(
         tmp_path / "a" / "features"))[0])] != b[os.path.join(
             "features", sorted(os.listdir(tmp_path / "b" / "features"))[0])]
-
-
-def test_parallel_generation_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.delenv("ASRKIT_THREADS", raising=False)
-    gen_synthetic_corpus(small_spec(seed=3), str(tmp_path / "serial"))
-    monkeypatch.setenv("ASRKIT_THREADS", "4")
-    gen_synthetic_corpus(small_spec(seed=3), str(tmp_path / "parallel"))
-    a = tree_bytes(tmp_path / "serial")
-    b = tree_bytes(tmp_path / "parallel")
-    assert a == b
 
 
 def test_hours_accounting(tmp_path):
@@ -161,15 +151,3 @@ def test_duration_bounds_validated():
     with pytest.raises(ValidationError):
         small_spec(utt_min_sec=2.0, utt_max_sec=1.0)
 
-
-def test_num_threads_env(monkeypatch):
-    monkeypatch.delenv("ASRKIT_THREADS", raising=False)
-    assert num_threads() == 1
-    monkeypatch.setenv("ASRKIT_THREADS", "3")
-    assert num_threads() == 3
-    monkeypatch.setenv("ASRKIT_THREADS", "zero")
-    with pytest.raises(ValidationError):
-        num_threads()
-    monkeypatch.setenv("ASRKIT_THREADS", "0")
-    with pytest.raises(ValidationError):
-        num_threads()

@@ -26,7 +26,7 @@ def fake_memory(t=7, d=16, seed=0):
                         .astype(np.float32))
     post = T.constant(np.zeros((t, VOCAB), dtype=np.float32))
     return EncoderOutput(latent=latent, tap_log_posteriors=[],
-                         final_log_posterior=post, subsampled_length=t)
+                         final_log_posterior=post)
 
 
 def test_forward_logits_shape():

@@ -9,7 +9,7 @@ from asrkit.errors import ValidationError
 from asrkit.rng import rng_for
 from asrkit.ssl import (AudioFeatures, Frontend, MaskSet, SslConfig,
                           eval_masked_accuracy, masked_prediction_accuracy,
-                          quantize, span_mask_indices)
+                          pretrain, quantize, span_mask_indices)
 
 SMALL_CFG = dict(input_dim=6, hidden_dim=16, num_blocks=2, attention_heads=2,
                  mask_prob=0.5, mask_span=2, codebook_size=4, dropout=0.0)
@@ -194,6 +194,25 @@ def test_audio_features_validation():
                       frame_rate=50)
     with pytest.raises(ValidationError):
         AudioFeatures(frames=np.zeros(4, dtype=np.float32))
+
+
+def test_pretrain_step_draws_a_different_mask_in_each_dropout_layer(
+        monkeypatch):
+    masks = {}
+    draw = T.dropout
+
+    def recording(x, p, rng, training):
+        out = draw(x, p, rng, training)
+        masks.setdefault(x.shape, []).append((out.data != 0).tobytes())
+        return out
+
+    monkeypatch.setattr(T, "dropout", recording)
+    fe = small_frontend(dropout=0.3)
+    pretrain(fe, [rand_utt(np.random.default_rng(0))], steps=1, seed=2)
+    # the feed-forward layers of both blocks share one shape
+    assert max(len(drawn) for drawn in masks.values()) == 4
+    for drawn in masks.values():
+        assert len(set(drawn)) == len(drawn)
 
 
 # -- pretraining outcomes -----------------------------------------------------
