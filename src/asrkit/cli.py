@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 validation error (including bad arguments),
-2 any other runtime failure.
+2 any other runtime failure, a non-finite value inside the network
+(FloatingPointError) among them.
 """
 
 import argparse
@@ -166,25 +167,29 @@ def cmd_decode(args) -> int:
     if args.adapt_language is not None:
         adaptation = build_language_mask(args.adapt_language, model.vocab,
                                          epsilon=args.adapt_epsilon)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for utt in utts:
-            feat = load_features(args.manifest, utt)
-            results = model.transcribe(feat, cfg, language=args.language,
-                                       adaptation=adaptation)
-            for rank, res in enumerate(results):
-                row = {
-                    "utt_id": utt.utt_id,
-                    "language": utt.language,
-                    "text": model.result_text(res),
-                    "joint": res.joint,
-                    "ctc": res.ctc,
-                    "att": res.att,
-                    "truncated": res.truncated,
-                }
-                if args.nbest > 1:
-                    row["rank"] = rank
-                fh.write(json.dumps(row, sort_keys=True,
+    # every utterance decodes before --out is written, so a failure
+    # part way leaves no partial file
+    lines = []
+    for utt in utts:
+        feat = load_features(args.manifest, utt)
+        results = model.transcribe(feat, cfg, language=args.language,
+                                   adaptation=adaptation)
+        for rank, res in enumerate(results):
+            row = {
+                "utt_id": utt.utt_id,
+                "language": utt.language,
+                "text": model.result_text(res),
+                "joint": res.joint,
+                "ctc": res.ctc,
+                "att": res.att,
+                "truncated": res.truncated,
+            }
+            if args.nbest > 1:
+                row["rank"] = rank
+            lines.append(json.dumps(row, sort_keys=True,
                                     ensure_ascii=False) + "\n")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
     print(f"wrote {args.out} ({len(utts)} utterances)")
     return 0
 
@@ -214,9 +219,7 @@ def cmd_score(args) -> int:
 
 def cmd_inspect(args) -> int:
     from . import serialization
-    index = serialization.load_json(args.checkpoint,
-                                    serialization.INDEX_FILE)
-    arrays = index["arrays"]
+    arrays = serialization.load_index(args.checkpoint)
     total = 0
     for name in sorted(arrays):
         meta = arrays[name]
@@ -337,7 +340,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AsrkitError as exc:
+    except (AsrkitError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

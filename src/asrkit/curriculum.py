@@ -2,8 +2,10 @@
 
 The seven-stage plan grows the encoder (shallow to full depth), widens
 the data filter (one language, small subset, to everything), keeps the
-frontend frozen through stage 6, and unfreezes it in stage 7.  The step
-loss is
+frontend frozen through stage 6, and unfreezes it in stage 7.  A
+frozen frontend is a feature extractor: it runs once per utterance, in
+eval mode without gradients, and its features are cached for the whole
+frozen span.  The step loss is
 
     0.3 * ctc_final + 0.7 * attention + 0.5 * mean(tap ctc losses)
 
@@ -229,17 +231,31 @@ def trainable_parameters(model: AsrModel, freeze: tuple[str, ...]
 
 
 def train_step(model: AsrModel, opt: AdamW, batch, features_by_id,
-               seed: int, stage_index: int, step: int) -> dict:
+               seed: int, stage_index: int, step: int,
+               frozen_latents: dict | None = None) -> dict:
     """One optimizer step over a batch; utterances whose label cannot be
-    aligned are skipped and counted."""
+    aligned are skipped and counted.
+
+    frozen_latents: in a stage that freezes the frontend, the cache of
+    its features by utterance id, filled by Frontend.extract_features on
+    an utterance's first use; the frontend then stays out of the graph.
+    None when the frontend trains.
+    """
     seed_dropout(model, seed, str(stage_index), str(step))
     losses = []
     skipped = 0
     parts = {"ctc": 0.0, "att": 0.0, "taps": 0.0}
     for utt in batch:
         feat = features_by_id[utt.utt_id]
+        if frozen_latents is None:
+            latent = model.frontend.forward_latent(T.constant(feat.frames))
+        else:
+            if utt.utt_id not in frozen_latents:
+                frozen_latents[utt.utt_id] = \
+                    model.frontend.extract_features(feat)
+            latent = T.constant(frozen_latents[utt.utt_id])
         try:
-            comp = model.utterance_losses(feat, utt.transcript,
+            comp = model.utterance_losses(latent, utt.transcript,
                                           utt.language)
         except ImpossibleAlignmentError:
             skipped += 1
@@ -320,6 +336,10 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
 
     features_by_id = {
         u.utt_id: load_features(manifest_path, u) for u in utts}
+    # the frontend cannot change while frozen (only the final stage may
+    # unfreeze it), so its cached features hold for the frozen span; a
+    # resumed run refills the cache with the same deterministic values
+    frozen_latents = {}
 
     checkpoint_dirs = []
     metrics_fh = open(metrics_path, "a", encoding="utf-8")
@@ -332,11 +352,13 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
             buckets = make_buckets(pool, plan.batch_max_frames)
             params = trainable_parameters(model, stage.freeze)
             opt = AdamW(params, peak_lr=stage.peak_lr, warmup=stage.warmup)
+            latents = frozen_latents if FRONTEND_SET in stage.freeze \
+                else None
             model.train()
             for step in range(stage.steps):
                 batch = pick_batch(buckets, seed, si, step)
                 metrics = train_step(model, opt, batch, features_by_id,
-                                     seed, si, step)
+                                     seed, si, step, latents)
                 global_step += 1
                 row = {"stage": si + 1, "step": global_step, **metrics}
                 metrics_fh.write(_json_row(row) + "\n")

@@ -73,12 +73,13 @@ class AsrModel(Module):
         return np.array([self.vocab.sos_id, self.vocab.lang_id(language)]
                         + chars + [self.vocab.eos_id], dtype=np.int64)
 
-    def utterance_losses(self, feat: AudioFeatures, text: str,
+    def utterance_losses(self, latent: Tensor, text: str,
                          language: str) -> dict[str, Tensor]:
-        """Loss components for one utterance (no weighting applied)."""
+        """Loss components for one utterance from its frontend latent
+        (no weighting applied)."""
         labels = np.asarray(self.vocab.encode_transcript(text, language),
                             dtype=np.int64)
-        enc = self.encode(feat)
+        enc = self.encoder.encode(latent)
         out = {
             "ctc": ctc_loss(enc.final_log_posterior, labels),
             "att": self.decoder.teacher_forced_loss(

@@ -9,7 +9,9 @@ A checkpoint directory holds:
   vocab.json   — the model's vocabulary (model checkpoints only)
   train_state.json — optional training progress (written by the caller)
 
-Round-tripping an array dict through save/load is bit-exact.
+Round-tripping an array dict through save/load is bit-exact.  An
+index.json without its "arrays" object, or an entry without one of its
+fields, raises CheckpointError naming the array and the field.
 """
 
 import json
@@ -60,6 +62,23 @@ def save_arrays(directory: str, arrays: dict[str, np.ndarray]) -> None:
         fh.write("\n")
 
 
+def load_index(directory: str) -> dict[str, dict]:
+    """index.json's {name: {"dtype", "shape", "offset"}} map, with every
+    field present; CheckpointError names what is missing otherwise."""
+    index_path = os.path.join(directory, INDEX_FILE)
+    index = load_json(directory, INDEX_FILE).get("arrays")
+    if not isinstance(index, dict):
+        raise CheckpointError(f"{index_path} has no \"arrays\" object")
+    for name, meta in index.items():
+        missing = [field for field in ("dtype", "shape", "offset")
+                   if not isinstance(meta, dict) or field not in meta]
+        if missing:
+            raise CheckpointError(
+                f"{index_path}: array {name!r} has no "
+                f"{', '.join(missing)}")
+    return index
+
+
 def load_arrays(directory: str) -> dict[str, np.ndarray]:
     index_path = os.path.join(directory, INDEX_FILE)
     params_path = os.path.join(directory, PARAMS_FILE)
@@ -67,7 +86,7 @@ def load_arrays(directory: str) -> dict[str, np.ndarray]:
         raise CheckpointError(
             f"{directory!r} is not a checkpoint directory "
             f"(missing {INDEX_FILE} or {PARAMS_FILE})")
-    index = load_json(directory, INDEX_FILE)["arrays"]
+    index = load_index(directory)
     with open(params_path, "rb") as fh:
         blob = fh.read()
     out = {}

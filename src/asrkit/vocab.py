@@ -140,5 +140,15 @@ def save_vocab(path: str, vocab: Vocab) -> None:
 
 
 def load_vocab(path: str) -> Vocab:
+    """Read a vocabulary file; one that does not parse or does not hold
+    a vocabulary raises ValidationError naming it."""
     with open(path, encoding="utf-8") as fh:
-        return Vocab.from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return Vocab.from_dict(payload)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"{path} does not hold a vocabulary: {exc!r}") from None

@@ -4,8 +4,10 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from asrkit import serialization
 from asrkit.cli import main
 
 
@@ -162,6 +164,52 @@ def test_decode_checkpoint_missing_an_array_exits_2(pipeline, tmp_path,
     assert not out.exists()
 
 
+def test_decode_index_entry_without_an_offset_exits_2(pipeline, tmp_path,
+                                                      capsys):
+    ckpt = tmp_path / "no-offset"
+    shutil.copytree(pipeline["model"], ckpt)
+    index = json.load(open(ckpt / "index.json"))
+    del index["arrays"]["encoder.ctc_proj.weight"]["offset"]
+    json.dump(index, open(ckpt / "index.json", "w"))
+    out = tmp_path / "h.jsonl"
+    assert main(["decode", "--model", str(ckpt),
+                 "--manifest", pipeline["manifest"],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "encoder.ctc_proj.weight" in err and "offset" in err
+    assert not out.exists()
+
+
+def test_inspect_index_entry_without_a_shape_exits_2(pipeline, tmp_path,
+                                                     capsys):
+    ckpt = tmp_path / "no-shape"
+    shutil.copytree(pipeline["model"], ckpt)
+    index = json.load(open(ckpt / "index.json"))
+    del index["arrays"]["encoder.ctc_proj.weight"]["shape"]
+    json.dump(index, open(ckpt / "index.json", "w"))
+    assert main(["inspect-checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "encoder.ctc_proj.weight" in err and "shape" in err
+
+
+def test_decode_checkpoint_with_a_nan_weight_exits_2(pipeline, tmp_path,
+                                                     capsys):
+    ckpt = tmp_path / "nan-weight"
+    shutil.copytree(pipeline["model"], ckpt)
+    arrays = serialization.load_arrays(str(ckpt))
+    arrays["encoder.ctc_proj.weight"][0, 0] = np.nan
+    serialization.save_arrays(str(ckpt), arrays)
+    out = tmp_path / "h.jsonl"
+    assert main(["decode", "--model", str(ckpt),
+                 "--manifest", pipeline["manifest"], "--out", str(out),
+                 "--max-len", "12", "--language", "en"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN" in err
+    assert not out.exists()
+
+
 def add_unknown_encoder_field(text):
     # an older checkpoint still records the removed self_conditioning switch
     payload = json.loads(text)
@@ -209,6 +257,19 @@ def test_score_report(pipeline):
         assert row["metric"] == "WER"
         assert row["rank"] == "Low"  # fractions of an hour
     assert os.path.isfile(os.path.join(pipeline["report"], "report.txt"))
+
+
+def test_train_with_a_vocab_that_is_not_json_exits_1(pipeline, tmp_path,
+                                                      capsys):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text("{not json")
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", pipeline["manifest"],
+                 "--vocab", str(vocab), "--out-dir", str(out),
+                 "--stage-plan", pipeline["plan"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(vocab) in err
+    assert not out.exists()
 
 
 def test_train_resume(pipeline, tmp_path):

@@ -238,6 +238,101 @@ def test_frozen_frontend_holds_still_until_the_last_stage(toy_corpus,
                           after["frontend.codebook"])
 
 
+# -- the frozen frontend as a cached feature extractor ------------------------
+
+
+def frozen_step(model, utts, manifest, frozen_latents):
+    """One train_step at depth 2 over utts with the frontend frozen;
+    frozen_latents=None runs the frontend inside the graph instead."""
+    from asrkit.curriculum import train_step
+    from asrkit.data import load_features
+    from asrkit.optim import AdamW
+    model.encoder.grow(2)
+    model.train()
+    feats = {u.utt_id: load_features(manifest, u) for u in utts}
+    opt = AdamW(trainable_parameters(model, ("frontend",)), peak_lr=1e-3,
+                warmup=1)
+    return train_step(model, opt, utts, feats, seed=0, stage_index=0,
+                      step=0, frozen_latents=frozen_latents)
+
+
+def test_frozen_step_gives_the_frontend_no_gradient(toy_corpus):
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    model = small_model(vocab)
+    utts = toy_corpus["train"][:2]
+    cache = {}
+    frozen_step(model, utts, toy_corpus["train_manifest"], cache)
+    assert sorted(cache) == sorted(u.utt_id for u in utts)
+    grads = {name: p.grad for name, p in model.named_parameters()}
+    assert all(g is None for n, g in grads.items()
+               if n.startswith("frontend."))
+    trained = [n for n in grads if n.split(".")[0] in ("encoder", "decoder")]
+    assert trained
+    for name in trained:
+        assert grads[name] is not None, name
+
+
+def test_frozen_step_matches_the_in_graph_frontend_without_dropout(
+        toy_corpus):
+    # small_model sets every dropout to 0, so eval-mode extraction and
+    # the train-mode frontend inside the graph compute the same latent
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    utts = toy_corpus["train"][:2]
+    manifest = toy_corpus["train_manifest"]
+    cached, reference = small_model(vocab), small_model(vocab)
+    got = frozen_step(cached, utts, manifest, {})
+    want = frozen_step(reference, utts, manifest, None)
+    assert got["loss_total"] == want["loss_total"]
+    ref_grads = dict(reference.named_parameters())
+    compared = 0
+    for name, p in cached.named_parameters():
+        if name.split(".")[0] in ("encoder", "decoder"):
+            assert p.grad.tobytes() == ref_grads[name].grad.tobytes(), name
+            compared += 1
+    assert compared
+    # and the optimizer moved the same parameters to the same values
+    got_state = cached.named_state()
+    for name, array in reference.named_state().items():
+        assert got_state[name].tobytes() == array.tobytes(), name
+
+
+def test_frozen_stages_extract_each_utterance_once(toy_corpus, tmp_path,
+                                                   monkeypatch):
+    from asrkit.ssl import Frontend
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    utts = toy_corpus["train"][:4]
+    plan = StagePlan(stages=tuple(
+        Stage(name=name, encoder_depth=depth, languages=None, steps=6,
+              peak_lr=1e-3, warmup=2, **extra)
+        for name, depth, extra in (("a", 2, {}), ("b", 3, {}),
+                                   ("c", 3, {"freeze": ()}))),
+        batch_max_frames=300)
+    logged = []
+    extracted = []   # (steps logged so far, the utterance's frames)
+    original = Frontend.extract_features
+
+    def counted(self, feat):
+        extracted.append((len(logged), feat.frames.tobytes()))
+        return original(self, feat)
+
+    monkeypatch.setattr(Frontend, "extract_features", counted)
+    run_curriculum(small_model(vocab), utts, toy_corpus["train_manifest"],
+                   plan, seed=3, out_dir=str(tmp_path / "run"),
+                   log_cb=logged.append)
+    frozen_steps = plan.stages[0].steps + plan.stages[1].steps
+    assert [n for n, _ in extracted if n >= frozen_steps] == []
+    frames = [key for _, key in extracted]
+    assert len(frames) == len(set(frames))   # no utterance twice
+    # and every utterance the frozen stages trained on once
+    used = set()
+    for si, st in enumerate(plan.stages[:2]):
+        buckets = make_buckets(filter_corpus(utts, st, 3, si),
+                               plan.batch_max_frames)
+        for step in range(st.steps):
+            used.update(u.utt_id for u in pick_batch(buckets, 3, si, step))
+    assert len(frames) == len(used) > 1
+
+
 # -- the training loop --------------------------------------------------------
 
 

@@ -72,3 +72,21 @@ def test_json_round_trip(tmp_path):
 def test_missing_json_rejected(tmp_path):
     with pytest.raises(CheckpointError):
         ser.load_json(str(tmp_path), "config.json")
+
+
+def test_index_entry_without_an_offset_does_not_load(tmp_path):
+    ser.save_arrays(str(tmp_path), {"a": np.zeros(2, dtype=np.float32),
+                                    "b": np.ones(3, dtype=np.float32)})
+    index_path = tmp_path / ser.INDEX_FILE
+    index = json.load(open(index_path))
+    del index["arrays"]["b"]["offset"]
+    json.dump(index, open(index_path, "w"))
+    with pytest.raises(CheckpointError, match=r"'b' has no offset"):
+        ser.load_arrays(str(tmp_path))
+
+
+def test_index_without_arrays_does_not_load(tmp_path):
+    ser.save_arrays(str(tmp_path), {"a": np.zeros(2, dtype=np.float32)})
+    json.dump({"tensors": {}}, open(tmp_path / ser.INDEX_FILE, "w"))
+    with pytest.raises(CheckpointError, match="arrays"):
+        ser.load_arrays(str(tmp_path))

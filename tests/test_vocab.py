@@ -76,3 +76,11 @@ def test_from_dict_rejects_missing_tokens():
     with pytest.raises(ValidationError):
         Vocab.from_dict({"tokens": [BLANK_TOKEN, SOS_TOKEN, EOS_TOKEN],
                          "languages": {"en": ["z"]}})
+
+
+def test_load_vocab_rejects_a_file_that_is_not_a_vocabulary(tmp_path):
+    path = tmp_path / "vocab.json"
+    for text in ("{not json", "[1, 2]", '{"languages": {}}'):
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="vocab.json"):
+            load_vocab(str(path))
