@@ -24,20 +24,12 @@ class DecoderConfig:
     hidden_dim: int = 64
     num_layers: int = 2
     attention_heads: int = 4
-    ffn_mult: int = 2
     dropout: float = 0.0
     max_target_len: int = 256
 
     def __post_init__(self):
         if self.num_layers < 1:
             raise ValidationError("decoder needs at least one layer")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DecoderConfig":
-        return cls(**payload)
 
 
 class DecoderLayer(Module):
@@ -51,7 +43,7 @@ class DecoderLayer(Module):
         self.cross_attn = MultiHeadAttention(
             d, cfg.attention_heads, rng, dropout=cfg.dropout)
         self.norm_ffn = LayerNorm(d)
-        self.ffn = FeedForward(d, d * cfg.ffn_mult, rng, cfg.dropout)
+        self.ffn = FeedForward(d, rng, cfg.dropout)
 
     def __call__(self, x: Tensor, memory: Tensor) -> Tensor:
         x = x + self.self_attn(self.norm_self(x))

@@ -14,17 +14,22 @@ projection.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .adapt import LanguageMask, apply_adaptation
 from .errors import ValidationError
-from .nn import (Dropout, FeedForward, LayerNorm, Linear, Module,
-                 MultiHeadAttention, parameter)
+from .nn import (REL_BIAS_RADIUS, Dropout, FeedForward, LayerNorm, Linear,
+                 Module, MultiHeadAttention, parameter)
 from .rng import rng_for
 from .tensor import Tensor
+
+# depthwise kernel widths: cgMLP gate, branch merge, strided subsampling
+CGMLP_KERNEL = 7
+MERGE_KERNEL = 3
+SUBSAMPLE_KERNEL = 3
 
 
 def default_tap_layers(num_blocks: int) -> tuple[int, ...]:
@@ -41,44 +46,15 @@ class EncoderConfig:
     num_blocks: int = 6
     attention_heads: int = 4
     cgmlp_units: int = 64
-    cgmlp_kernel: int = 7
-    merge_kernel: int = 3
-    ffn_mult: int = 2
-    subsample_kernel: int = 3
     dropout: float = 0.0
-    rel_bias_radius: int = 8
-    tap_layers: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if self.num_blocks < 1:
             raise ValidationError("num_blocks must be at least 1")
-        if self.cgmlp_kernel % 2 == 0 or self.merge_kernel % 2 == 0:
-            raise ValidationError("conv kernels must be odd")
-        taps = self.tap_layers or default_tap_layers(self.num_blocks)
-        taps = tuple(int(t) for t in taps)
-        if list(taps) != sorted(set(taps)):
-            raise ValidationError("tap_layers must be strictly increasing")
-        if any(not 1 <= t < self.num_blocks for t in taps):
-            raise ValidationError(
-                f"tap_layers must lie in [1, {self.num_blocks}), got {taps}")
-        object.__setattr__(self, "tap_layers", taps)
 
-    def with_depth(self, num_blocks: int) -> "EncoderConfig":
-        payload = self.to_dict()
-        payload["num_blocks"] = num_blocks
-        payload["tap_layers"] = ()
-        return EncoderConfig(**payload)
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["tap_layers"] = list(self.tap_layers)
-        return d
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EncoderConfig":
-        payload = dict(payload)
-        payload["tap_layers"] = tuple(payload.get("tap_layers", ()))
-        return cls(**payload)
+    @property
+    def tap_layers(self) -> tuple[int, ...]:
+        return default_tap_layers(self.num_blocks)
 
 
 @dataclass
@@ -92,12 +68,12 @@ class ConvSubsample(Module):
     """Strided conv (stride 2, same-padding) + swish + linear projection;
     maps T input frames to exactly ceil(T/2) latents."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, kernel: int,
+    def __init__(self, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator):
         super().__init__()
         self.weight = parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(kernel * input_dim),
-                       size=(kernel, input_dim, hidden_dim))
+            rng.normal(0.0, 1.0 / np.sqrt(SUBSAMPLE_KERNEL * input_dim),
+                       size=(SUBSAMPLE_KERNEL, input_dim, hidden_dim))
             .astype(np.float32))
         self.bias = parameter(np.zeros(hidden_dim, dtype=np.float32))
         self.proj = Linear(hidden_dim, hidden_dim, rng)
@@ -114,13 +90,13 @@ class CgMlp(Module):
     """Convolutional gating MLP: up-project, split, depthwise-convolve one
     half, gate the other half with it elementwise, down-project."""
 
-    def __init__(self, dim: int, units: int, kernel: int,
-                 rng: np.random.Generator, dropout: float = 0.0):
+    def __init__(self, dim: int, units: int, rng: np.random.Generator,
+                 dropout: float = 0.0):
         super().__init__()
         self.up = Linear(dim, 2 * units, rng)
         self.dw_weight = parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(kernel),
-                       size=(kernel, units)).astype(np.float32))
+            rng.normal(0.0, 1.0 / np.sqrt(CGMLP_KERNEL),
+                       size=(CGMLP_KERNEL, units)).astype(np.float32))
         self.dw_bias = parameter(np.zeros(units, dtype=np.float32))
         self.down = Linear(units, dim, rng)
         self.drop = Dropout(dropout)
@@ -142,17 +118,15 @@ class EBranchformerBlock(Module):
         self.norm_in = LayerNorm(d)
         self.attn = MultiHeadAttention(
             d, cfg.attention_heads, rng,
-            rel_bias_radius=cfg.rel_bias_radius, dropout=cfg.dropout)
-        self.cgmlp = CgMlp(d, cfg.cgmlp_units, cfg.cgmlp_kernel, rng,
-                           cfg.dropout)
+            rel_bias_radius=REL_BIAS_RADIUS, dropout=cfg.dropout)
+        self.cgmlp = CgMlp(d, cfg.cgmlp_units, rng, cfg.dropout)
         self.merge_dw_weight = parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(cfg.merge_kernel),
-                       size=(cfg.merge_kernel, 2 * d)).astype(np.float32))
+            rng.normal(0.0, 1.0 / np.sqrt(MERGE_KERNEL),
+                       size=(MERGE_KERNEL, 2 * d)).astype(np.float32))
         self.merge_dw_bias = parameter(np.zeros(2 * d, dtype=np.float32))
         self.merge_proj = Linear(2 * d, d, rng, zero_init=zero_merge)
         self.norm_ffn = LayerNorm(d)
-        self.ffn = FeedForward(d, d * cfg.ffn_mult, rng, cfg.dropout,
-                               zero_out=zero_merge)
+        self.ffn = FeedForward(d, rng, cfg.dropout, zero_out=zero_merge)
         self.norm_out = LayerNorm(d)
         self.drop = Dropout(cfg.dropout)
 
@@ -197,8 +171,7 @@ class Encoder(Module):
         self.vocab_size = vocab_size
         self.seed = seed
         self.subsample = ConvSubsample(
-            cfg.input_dim, cfg.hidden_dim, cfg.subsample_kernel,
-            rng_for(seed, "encoder.subsample"))
+            cfg.input_dim, cfg.hidden_dim, rng_for(seed, "encoder.subsample"))
         self.blocks = [self._new_block(i, cfg) for i in range(cfg.num_blocks)]
         self.ctc_proj = Linear(cfg.hidden_dim, vocab_size,
                                rng_for(seed, "encoder.ctc_proj"))
@@ -261,7 +234,7 @@ class Encoder(Module):
                 f"cannot shrink the encoder from {old_depth} to {new_depth}")
         if new_depth == old_depth:
             return
-        new_cfg = self.cfg.with_depth(new_depth)
+        new_cfg = replace(self.cfg, num_blocks=new_depth)
         for i in range(old_depth, new_depth):
             self.blocks.append(self._new_block(i, new_cfg, zero_merge=True))
         old_feedback = self.feedback

@@ -1,7 +1,7 @@
 """The assembled recognizer: frontend -> encoder -> {CTC branch, decoder}."""
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -35,18 +35,13 @@ class ModelConfig:
                 "encoder input_dim must equal the frontend hidden_dim")
 
     def to_dict(self) -> dict:
-        return {
-            "frontend": self.frontend.to_dict(),
-            "encoder": self.encoder.to_dict(),
-            "decoder": self.decoder.to_dict(),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
-        return cls(frontend=SslConfig.from_dict(payload["frontend"]),
-                   encoder=EncoderConfig.from_dict(payload["encoder"]),
-                   decoder=DecoderConfig.from_dict(payload["decoder"]),
+        return cls(frontend=SslConfig(**payload["frontend"]),
+                   encoder=EncoderConfig(**payload["encoder"]),
+                   decoder=DecoderConfig(**payload["decoder"]),
                    seed=payload.get("seed", 0))
 
 

@@ -9,6 +9,11 @@ from .errors import CheckpointError, GraphConstructionError
 from .rng import rng_for
 from .tensor import Tensor
 
+# FeedForward hidden width, as a multiple of the model width
+FFN_MULT = 2
+# relative-position bias clip radius of frontend and encoder self-attention
+REL_BIAS_RADIUS = 8
+
 
 def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
            dtype=np.float32) -> np.ndarray:
@@ -229,11 +234,13 @@ def seed_dropout(module: Module, seed: int, *labels: str) -> None:
 
 
 class FeedForward(Module):
-    """Position-wise feed-forward: Linear -> swish -> dropout -> Linear."""
+    """Position-wise feed-forward: Linear -> swish -> dropout -> Linear,
+    FFN_MULT times wider inside."""
 
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator,
+    def __init__(self, dim: int, rng: np.random.Generator,
                  dropout: float = 0.0, zero_out: bool = False):
         super().__init__()
+        hidden = dim * FFN_MULT
         self.lin1 = Linear(dim, hidden, rng)
         self.lin2 = Linear(hidden, dim, rng, zero_init=zero_out)
         self.drop = Dropout(dropout)

@@ -218,25 +218,44 @@ def score_corpus(refs: list[dict], hyps: list[dict],
     return ScoreReport(per_language=list(scores.values()), errors=errors)
 
 
-def load_jsonl_rows(path: str, required: tuple[str, ...]) -> list[dict]:
-    rows = []
+def _numbered_rows(path: str, required: tuple[str, ...]):
+    """Yield (line number, row) for each non-blank line, which must hold
+    a JSON object with the required keys; ValidationError names
+    path:line otherwise."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}:{lineno} is not valid JSON: {exc}") from None
+            if not isinstance(row, dict):
+                raise ValidationError(
+                    f"{path}:{lineno} does not hold a JSON object")
             for key in required:
                 if key not in row:
                     raise ValidationError(
                         f"{path}:{lineno} is missing {key!r}")
-            rows.append(row)
-    return rows
+            yield lineno, row
+
+
+def load_jsonl_rows(path: str, required: tuple[str, ...]) -> list[dict]:
+    return [row for _, row in _numbered_rows(path, required)]
 
 
 def load_hours(path: str) -> dict[str, float]:
-    rows = load_jsonl_rows(path, ("language", "hours"))
-    return {row["language"]: float(row["hours"]) for row in rows}
+    hours = {}
+    for lineno, row in _numbered_rows(path, ("language", "hours")):
+        try:
+            hours[row["language"]] = float(row["hours"])
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{path}:{lineno} has hours {row['hours']!r}, "
+                f"not a number") from None
+    return hours
 
 
 def save_report(report: ScoreReport, out_dir: str) -> tuple[str, str]:

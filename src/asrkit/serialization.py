@@ -10,11 +10,14 @@ A checkpoint directory holds:
   train_state.json — optional training progress (written by the caller)
 
 Round-tripping an array dict through save/load is bit-exact.  An
-index.json without its "arrays" object, or an entry without one of its
-fields, raises CheckpointError naming the array and the field.
+index.json without its "arrays" object, or an entry with a field that
+is missing or bad (an unknown dtype code, a shape that is not a list of
+ints >= 0, an offset that is not an int >= 0), raises CheckpointError
+naming the array and the field.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -62,9 +65,16 @@ def save_arrays(directory: str, arrays: dict[str, np.ndarray]) -> None:
         fh.write("\n")
 
 
+def _nonneg_int(value) -> bool:
+    # JSON true/false load as bools, which Python also counts as ints
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
 def load_index(directory: str) -> dict[str, dict]:
     """index.json's {name: {"dtype", "shape", "offset"}} map, with every
-    field present; CheckpointError names what is missing otherwise."""
+    field present and well-formed; CheckpointError names the array and
+    the field otherwise."""
     index_path = os.path.join(directory, INDEX_FILE)
     index = load_json(directory, INDEX_FILE).get("arrays")
     if not isinstance(index, dict):
@@ -76,6 +86,16 @@ def load_index(directory: str) -> dict[str, dict]:
             raise CheckpointError(
                 f"{index_path}: array {name!r} has no "
                 f"{', '.join(missing)}")
+        dtype, shape, offset = meta["dtype"], meta["shape"], meta["offset"]
+        for field, ok in (
+                ("dtype", isinstance(dtype, str) and dtype in _DTYPES),
+                ("shape", isinstance(shape, list)
+                 and all(_nonneg_int(d) for d in shape)),
+                ("offset", _nonneg_int(offset))):
+            if not ok:
+                raise CheckpointError(
+                    f"{index_path}: array {name!r} has a bad {field} "
+                    f"{meta[field]!r}")
     return index
 
 
@@ -91,14 +111,10 @@ def load_arrays(directory: str) -> dict[str, np.ndarray]:
         blob = fh.read()
     out = {}
     for name, meta in index.items():
-        dtype = _DTYPES.get(meta["dtype"])
-        if dtype is None:
-            raise CheckpointError(
-                f"unknown dtype {meta['dtype']!r} for array {name!r}")
+        dtype = _DTYPES[meta["dtype"]]
         shape = tuple(meta["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         start = meta["offset"]
-        end = start + count * dtype.itemsize
+        end = start + math.prod(shape) * dtype.itemsize
         if end > len(blob):
             raise CheckpointError(
                 f"array {name!r} extends past the end of {PARAMS_FILE}")

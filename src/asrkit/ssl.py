@@ -11,18 +11,21 @@ an intermediate block.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import optim, serialization, tensor as T
 from .errors import ValidationError
-from .nn import (Buffer, Dropout, FeedForward, LayerNorm, Linear, Module,
-                 MultiHeadAttention, inference, parameter, seed_dropout)
+from .nn import (REL_BIAS_RADIUS, Buffer, Dropout, FeedForward, LayerNorm,
+                 Linear, Module, MultiHeadAttention, inference, parameter,
+                 seed_dropout)
 from .rng import rng_for
 from .tensor import Tensor
 
 FRAME_RATE = 100
+# codes drawn from other masked positions per contrastive row
+NUM_DISTRACTORS = 4
 
 
 @dataclass(frozen=True)
@@ -32,41 +35,27 @@ class SslConfig:
     num_blocks: int = 4
     attention_heads: int = 4
     conv_kernel: int = 7
-    ffn_mult: int = 2
     dropout: float = 0.0
-    rel_bias_radius: int = 8
     mask_prob: float = 0.06
     mask_span: int = 4
     codebook_size: int = 8
-    num_distractors: int = 4
-    contrastive_weight: float = 1.0
-    mlm_weight: float = 1.0
-    contrastive_tap_block: int = field(default=-1)
 
     def __post_init__(self):
-        if self.contrastive_tap_block == -1:
-            object.__setattr__(self, "contrastive_tap_block",
-                               max(1, self.num_blocks // 2))
+        if self.num_blocks < 1:
+            raise ValidationError("num_blocks must be at least 1")
         if not 0.0 < self.mask_prob < 1.0:
             raise ValidationError("mask_prob must be in (0, 1)")
         if self.mask_span < 1:
             raise ValidationError("mask_span must be at least 1")
         if self.codebook_size < 2:
             raise ValidationError("codebook_size must be at least 2")
-        if not 1 <= self.contrastive_tap_block <= self.num_blocks:
-            raise ValidationError(
-                "contrastive_tap_block must name one of the blocks")
-        if self.num_distractors < 1:
-            raise ValidationError("num_distractors must be at least 1")
         if self.conv_kernel % 2 == 0:
             raise ValidationError("conv_kernel must be odd")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SslConfig":
-        return cls(**payload)
+    @property
+    def contrastive_tap_block(self) -> int:
+        """The block whose output the contrastive head reads."""
+        return max(1, self.num_blocks // 2)
 
 
 @dataclass(frozen=True)
@@ -75,13 +64,8 @@ class AudioFeatures:
 
     frames: np.ndarray  # (T, F) float32
     language: str = ""
-    frame_rate: int = FRAME_RATE
 
     def __post_init__(self):
-        if self.frame_rate != FRAME_RATE:
-            raise ValidationError(
-                f"frame_rate must be exactly {FRAME_RATE}, "
-                f"got {self.frame_rate}")
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise ValidationError(
                 f"frames must be a (T>=1, F) matrix, got {self.frames.shape}")
@@ -89,23 +73,6 @@ class AudioFeatures:
     @property
     def num_frames(self) -> int:
         return self.frames.shape[0]
-
-
-@dataclass(frozen=True)
-class MaskSet:
-    """Frame indices hidden from the frontend during pretraining."""
-
-    masked_indices: np.ndarray  # sorted unique ints
-
-    def __post_init__(self):
-        idx = np.asarray(self.masked_indices, dtype=np.int64)
-        object.__setattr__(self, "masked_indices", idx)
-        if idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0):
-            raise ValidationError("masked indices must be sorted and unique")
-
-    @property
-    def count(self) -> int:
-        return int(self.masked_indices.size)
 
 
 def span_mask_indices(T_len: int, rng: np.random.Generator,
@@ -149,17 +116,16 @@ class ConformerBlock(Module):
     def __init__(self, cfg: SslConfig, rng: np.random.Generator):
         super().__init__()
         d = cfg.hidden_dim
-        hidden = d * cfg.ffn_mult
         self.norm_ffn1 = LayerNorm(d)
-        self.ffn1 = FeedForward(d, hidden, rng, cfg.dropout)
+        self.ffn1 = FeedForward(d, rng, cfg.dropout)
         self.norm_attn = LayerNorm(d)
         self.attn = MultiHeadAttention(
             d, cfg.attention_heads, rng,
-            rel_bias_radius=cfg.rel_bias_radius, dropout=cfg.dropout)
+            rel_bias_radius=REL_BIAS_RADIUS, dropout=cfg.dropout)
         self.norm_conv = LayerNorm(d)
         self.conv = ConvModule(d, cfg.conv_kernel, rng, cfg.dropout)
         self.norm_ffn2 = LayerNorm(d)
-        self.ffn2 = FeedForward(d, hidden, rng, cfg.dropout)
+        self.ffn2 = FeedForward(d, rng, cfg.dropout)
         self.norm_out = LayerNorm(d)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -238,23 +204,27 @@ class Frontend(Module):
     def apply_span_mask(self, frames: np.ndarray, rng: np.random.Generator):
         """Replace random spans with the learned mask embedding.
 
-        Returns (masked frames as a Tensor so the embedding trains,
-        MaskSet of hidden indices).
+        If the draw masks nothing, one redraw is made, after which a
+        single span at frame 0 is forced.  Returns (masked frames as a
+        Tensor so the embedding trains, sorted unique hidden indices).
         """
+        cfg = self.cfg
         T_len = frames.shape[0]
-        if T_len < self.cfg.mask_span:
+        if T_len < cfg.mask_span:
             raise ValidationError(
-                f"need at least mask_span={self.cfg.mask_span} frames, "
+                f"need at least mask_span={cfg.mask_span} frames, "
                 f"got {T_len}")
-        idx = span_mask_indices(T_len, rng, self.cfg.mask_prob,
-                                self.cfg.mask_span)
+        idx = span_mask_indices(T_len, rng, cfg.mask_prob, cfg.mask_span)
+        if idx.size == 0:
+            idx = span_mask_indices(T_len, rng, cfg.mask_prob, cfg.mask_span)
+        if idx.size == 0:
+            idx = np.arange(cfg.mask_span, dtype=np.int64)
         sel = np.zeros((T_len, 1), dtype=frames.dtype)
-        if idx.size:
-            sel[idx] = 1.0
+        sel[idx] = 1.0
         sel_t = T.constant(sel)
         x = T.constant(frames)
         masked = x * (1.0 - sel_t) + self.mask_emb * sel_t
-        return masked, MaskSet(masked_indices=idx)
+        return masked, idx
 
     def init_codebook(self, frame_pool: np.ndarray,
                       rng: np.random.Generator) -> None:
@@ -273,27 +243,12 @@ class Frontend(Module):
     def ssl_loss(self, feat: AudioFeatures, rng: np.random.Generator):
         """Masked-prediction + contrastive loss for one utterance.
 
-        Returns (loss Tensor, metrics dict).  If the random draw masks
-        nothing, one redraw is attempted, after which a single span at
-        frame 0 is forced.
+        Returns (loss Tensor, metrics dict).
         """
         cfg = self.cfg
         frames = feat.frames
-        masked_x, mask = self.apply_span_mask(frames, rng)
-        if mask.count == 0:
-            masked_x, mask = self.apply_span_mask(frames, rng)
-        if mask.count == 0:
-            idx = np.arange(min(cfg.mask_span, frames.shape[0]),
-                            dtype=np.int64)
-            sel = np.zeros((frames.shape[0], 1), dtype=frames.dtype)
-            sel[idx] = 1.0
-            sel_t = T.constant(sel)
-            masked_x = T.constant(frames) * (1.0 - sel_t) \
-                + self.mask_emb * sel_t
-            mask = MaskSet(masked_indices=idx)
-
+        masked_x, midx = self.apply_span_mask(frames, rng)
         codes = quantize(frames, self.codebook.value)
-        midx = mask.masked_indices
         mcodes = codes[midx]
 
         final, tapped = self.forward_latent(
@@ -310,7 +265,7 @@ class Frontend(Module):
         n_masked = midx.size
         for i in range(n_masked):
             if n_masked > 1:
-                others = rng.choice(n_masked - 1, size=cfg.num_distractors,
+                others = rng.choice(n_masked - 1, size=NUM_DISTRACTORS,
                                     replace=True)
                 others[others >= i] += 1
                 cand_codes = np.concatenate([[mcodes[i]], mcodes[others]])
@@ -318,7 +273,7 @@ class Frontend(Module):
                 cand_codes = np.concatenate(
                     [[mcodes[i]],
                      rng.integers(0, cfg.codebook_size,
-                                  size=cfg.num_distractors)])
+                                  size=NUM_DISTRACTORS)])
             cand = T.constant(
                 self.codebook.value[cand_codes].T.astype(np.float32))
             rows.append(T.matmul(cvecs[i:i + 1, :], cand) * scale)
@@ -326,12 +281,12 @@ class Frontend(Module):
         loss_con = T.cross_entropy(
             con_logits, np.zeros(n_masked, dtype=np.int64))
 
-        loss = cfg.contrastive_weight * loss_con + cfg.mlm_weight * loss_mlm
+        loss = loss_con + loss_mlm
         metrics = {
             "loss_mlm": loss_mlm.item(),
             "loss_contrastive": loss_con.item(),
-            "masked_frames": mask.count,
-            "masked_fraction": mask.count / frames.shape[0],
+            "masked_frames": n_masked,
+            "masked_fraction": n_masked / frames.shape[0],
             "mlm_accuracy": masked_prediction_accuracy(
                 mlm_logits.data, mcodes),
         }
@@ -382,13 +337,13 @@ def save_frontend(directory: str, frontend: Frontend) -> None:
     serialization.save_arrays(directory, frontend.named_state())
     serialization.save_json(
         directory, serialization.CONFIG_FILE,
-        {"frontend": frontend.cfg.to_dict(), "seed": frontend.seed})
+        {"frontend": asdict(frontend.cfg), "seed": frontend.seed})
 
 
 def load_frontend(directory: str) -> Frontend:
     cfg, seed = serialization.load_json_as(
         directory, serialization.CONFIG_FILE,
-        lambda payload: (SslConfig.from_dict(payload["frontend"]),
+        lambda payload: (SslConfig(**payload["frontend"]),
                          int(payload.get("seed", 0))))
     frontend = Frontend(cfg, seed=seed)
     frontend.load_state(serialization.load_arrays(directory))

@@ -217,6 +217,15 @@ def add_unknown_encoder_field(text):
     return json.dumps(payload)
 
 
+def add_removed_field(section, field):
+    # configs written before these settings became constants record them
+    def corrupt(text):
+        payload = json.loads(text)
+        payload[section][field] = 4
+        return json.dumps(payload)
+    return corrupt
+
+
 def drop_frontend_section(text):
     payload = json.loads(text)
     del payload["frontend"]
@@ -225,6 +234,10 @@ def drop_frontend_section(text):
 
 BAD_CONFIGS = {
     "unknown_field": (add_unknown_encoder_field, "self_conditioning"),
+    "encoder_tap_layers": (add_removed_field("encoder", "tap_layers"),
+                           "tap_layers"),
+    "frontend_num_distractors": (
+        add_removed_field("frontend", "num_distractors"), "num_distractors"),
     "no_frontend": (drop_frontend_section, "missing field 'frontend'"),
     "not_json": (lambda text: text[: len(text) // 2], "not valid JSON"),
 }
@@ -257,6 +270,32 @@ def test_score_report(pipeline):
         assert row["metric"] == "WER"
         assert row["rank"] == "Low"  # fractions of an hour
     assert os.path.isfile(os.path.join(pipeline["report"], "report.txt"))
+
+
+BAD_SCORE_INPUTS = {
+    "hyps_not_json": ("hyps", '{"utt_id": "a", "text": "x"\n',
+                      ":1 is not valid JSON"),
+    "hyps_not_an_object": ("hyps", "5\n", ":1 does not hold a JSON object"),
+    "hours_not_a_number": (
+        "hours", '{"language": "en", "hours": 1}\n'
+                 '{"language": "de", "hours": "many"}\n',
+        ":2 has hours 'many', not a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCORE_INPUTS))
+def test_score_with_a_bad_input_line_exits_1(pipeline, tmp_path, capsys,
+                                             case):
+    which, text, fault = BAD_SCORE_INPUTS[case]
+    files = {"hyps": pipeline["hyps"], "hours": pipeline["hours"]}
+    files[which] = str(tmp_path / f"{which}.jsonl")
+    open(files[which], "w", encoding="utf-8").write(text)
+    out = tmp_path / "report"
+    assert main(["score", pipeline["manifest"], files["hyps"],
+                 files["hours"], "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and files[which] + fault in err
+    assert not out.exists()
 
 
 def test_train_with_a_vocab_that_is_not_json_exits_1(pipeline, tmp_path,

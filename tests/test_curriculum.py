@@ -454,6 +454,23 @@ def saved_small_model(vocab, tmp_path):
     return ckpt
 
 
+def test_checkpoint_config_records_only_the_settable_fields(toy_corpus,
+                                                            tmp_path):
+    ckpt = saved_small_model(load_vocab(toy_corpus["vocab_path"]), tmp_path)
+    config = json.load(open(os.path.join(ckpt, "config.json")))
+    assert config.pop("seed") == 7
+    assert {section: sorted(fields)
+            for section, fields in config.items()} == {
+        "frontend": ["attention_heads", "codebook_size", "conv_kernel",
+                     "dropout", "hidden_dim", "input_dim", "mask_prob",
+                     "mask_span", "num_blocks"],
+        "encoder": ["attention_heads", "cgmlp_units", "dropout",
+                    "hidden_dim", "input_dim", "num_blocks"],
+        "decoder": ["attention_heads", "dropout", "hidden_dim",
+                    "max_target_len", "num_layers"],
+    }
+
+
 def test_checkpoint_missing_an_array_does_not_load(toy_corpus, tmp_path):
     vocab = load_vocab(toy_corpus["vocab_path"])
     ckpt = saved_small_model(vocab, tmp_path)

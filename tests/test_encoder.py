@@ -62,12 +62,6 @@ def test_default_tap_layers(blocks, want):
     assert default_tap_layers(blocks) == want
 
 
-@pytest.mark.parametrize("taps", [(0,), (2, 2), (2, 1), (3,)])
-def test_tap_layer_validation(taps):
-    with pytest.raises(ValidationError):
-        EncoderConfig(**{**SMALL_CFG, "tap_layers": taps})
-
-
 def test_taps_report_their_block_index():
     enc = small_encoder(num_blocks=6)
     out = enc.encode(rand_input(20))

@@ -85,6 +85,20 @@ def test_index_entry_without_an_offset_does_not_load(tmp_path):
         ser.load_arrays(str(tmp_path))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("offset", "0"), ("shape", "2x3"), ("offset", -8), ("shape", [2, -3]),
+    ("dtype", "<f2"),
+])
+def test_index_entry_with_a_bad_field_does_not_load(tmp_path, field, value):
+    ser.save_arrays(str(tmp_path), {"w": np.zeros((2, 3), dtype=np.float32)})
+    index_path = tmp_path / ser.INDEX_FILE
+    index = json.load(open(index_path))
+    index["arrays"]["w"][field] = value
+    json.dump(index, open(index_path, "w"))
+    with pytest.raises(CheckpointError, match=rf"'w' has a bad {field}"):
+        ser.load_arrays(str(tmp_path))
+
+
 def test_index_without_arrays_does_not_load(tmp_path):
     ser.save_arrays(str(tmp_path), {"a": np.zeros(2, dtype=np.float32)})
     json.dump({"tensors": {}}, open(tmp_path / ser.INDEX_FILE, "w"))

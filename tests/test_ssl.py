@@ -7,7 +7,7 @@ from asrkit import tensor as T
 from asrkit.data import char_template
 from asrkit.errors import ValidationError
 from asrkit.rng import rng_for
-from asrkit.ssl import (AudioFeatures, Frontend, MaskSet, SslConfig,
+from asrkit.ssl import (AudioFeatures, Frontend, SslConfig,
                           eval_masked_accuracy, masked_prediction_accuracy,
                           pretrain, quantize, span_mask_indices)
 
@@ -52,13 +52,6 @@ def test_span_mask_can_be_empty():
     assert idx.size == 0 and idx.dtype == np.int64
 
 
-def test_mask_set_rejects_unsorted():
-    with pytest.raises(ValidationError):
-        MaskSet(masked_indices=np.array([3, 1]))
-    with pytest.raises(ValidationError):
-        MaskSet(masked_indices=np.array([2, 2]))
-
-
 def test_apply_span_mask_too_short():
     fe = small_frontend(mask_span=4)
     with pytest.raises(ValidationError):
@@ -69,9 +62,9 @@ def test_apply_span_mask_too_short():
 def test_apply_span_mask_replaces_rows():
     fe = small_frontend(mask_prob=0.4)
     frames = np.random.default_rng(3).normal(size=(30, 6)).astype(np.float32)
-    masked, mask = fe.apply_span_mask(frames, np.random.default_rng(4))
+    masked, idx = fe.apply_span_mask(frames, np.random.default_rng(4))
     emb = fe.mask_emb.data[0]
-    hidden = set(mask.masked_indices.tolist())
+    hidden = set(idx.tolist())
     for t in range(30):
         want = emb if t in hidden else frames[t]
         assert np.allclose(masked.data[t], want)
@@ -180,18 +173,21 @@ def test_save_load_round_trip(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     dict(mask_prob=0.0), dict(mask_prob=1.0), dict(mask_span=0),
-    dict(codebook_size=1), dict(contrastive_tap_block=3),
-    dict(num_distractors=0), dict(conv_kernel=4),
+    dict(codebook_size=1), dict(conv_kernel=4), dict(num_blocks=0),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValidationError):
         SslConfig(**{**SMALL_CFG, **bad})
 
 
+@pytest.mark.parametrize("blocks,want", [(1, 1), (2, 1), (3, 1), (4, 2),
+                                         (5, 2), (12, 6)])
+def test_contrastive_tap_block_follows_depth(blocks, want):
+    cfg = SslConfig(**{**SMALL_CFG, "num_blocks": blocks})
+    assert cfg.contrastive_tap_block == want
+
+
 def test_audio_features_validation():
-    with pytest.raises(ValidationError):
-        AudioFeatures(frames=np.zeros((4, 3), dtype=np.float32),
-                      frame_rate=50)
     with pytest.raises(ValidationError):
         AudioFeatures(frames=np.zeros(4, dtype=np.float32))
 
