@@ -1,8 +1,10 @@
 """CTC: loss and prefix scoring.
 
 The loss is a registered autodiff primitive backed by the kernel layer
-(compiled when available).  Prefix scoring is pure inference math used
-by the joint beam search; it carries per-hypothesis state arrays.
+(compiled when available); the posteriors that share one label, such as
+the final layer's and the intermediate taps', are scored by one kernel
+call.  Prefix scoring is pure inference math used by the joint beam
+search; it carries per-hypothesis state arrays.
 """
 
 from dataclasses import dataclass
@@ -26,32 +28,49 @@ def min_frames(labels) -> int:
     return int(labels.size) + repeats
 
 
-def ctc_loss(log_post: Tensor, labels) -> Tensor:
-    """Negative log-probability of `labels` under the CTC model.
+def ctc_losses(log_posts: list[Tensor], labels) -> list[Tensor]:
+    """Negative log-probability of `labels` under each CTC posterior.
 
-    log_post: (T, V) log-posteriors with blank at id 0.
-    labels:   integer ids, none of them blank.
+    log_posts: (T, V) log-posteriors of one shape with blank at id 0,
+               e.g. the final layer's and the intermediate taps'.
+    labels:    integer ids, none of them blank.
+
+    One kernel call scores the whole stack; each loss is still its own
+    "ctc_loss" primitive carrying its own gradient.
     """
+    shape = log_posts[0].shape
+    if any(lp.shape != shape for lp in log_posts):
+        raise ValidationError("CTC posteriors of one label must share a shape")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValidationError("labels must be a 1-D id sequence")
-    if labels.size and (labels.min() < 1 or labels.max() >= log_post.shape[1]):
+    if labels.size and (labels.min() < 1 or labels.max() >= shape[1]):
         raise ValidationError(
             "labels must be non-blank ids within the vocabulary")
-    T = log_post.shape[0]
     need = min_frames(labels)
-    if T < need:
+    if shape[0] < need:
         raise ImpossibleAlignmentError(
             f"label of length {labels.size} needs at least {need} frames, "
-            f"got {T}")
-    loss_val, grad = kernels.ctc_loss_grad(
-        log_post.data.astype(np.float64, copy=False), labels)
+            f"got {shape[0]}")
+    loss_vals, grads = kernels.ctc_loss_grad(
+        np.stack([lp.data.astype(np.float64, copy=False)
+                  for lp in log_posts]), labels)
+    return [_ctc_record(lp, loss_val, grad)
+            for lp, loss_val, grad in zip(log_posts, loss_vals, grads)]
+
+
+def _ctc_record(log_post: Tensor, loss_val, grad: np.ndarray) -> Tensor:
     out = np.asarray(loss_val, dtype=log_post.dtype)
 
     def bwd(g):
         return (g * grad.astype(log_post.dtype, copy=False),)
 
     return apply_primitive("ctc_loss", (log_post,), out, bwd)
+
+
+def ctc_loss(log_post: Tensor, labels) -> Tensor:
+    """ctc_losses for one (T, V) posterior."""
+    return ctc_losses([log_post], labels)[0]
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Pure-numpy kernels: CTC forward-backward, CTC prefix scoring, edit counts.
 
 These are the loop-heavy inner kernels; asrkit.kernels._ctc_ext holds a
-compiled twin with identical signatures and semantics.  All probability
-math is float64 log-space regardless of caller dtype.
+compiled twin with the same semantics, whose ctc_loss_grad takes only a
+(T, V) posterior (asrkit.kernels lifts it to a (K, T, V) stack).  All
+probability math is float64 log-space regardless of caller dtype.
 """
 
 import numpy as np
@@ -13,67 +14,77 @@ NEG_INF = -np.float64(np.inf)
 def ctc_loss_grad(log_post: np.ndarray, labels: np.ndarray):
     """CTC negative log-likelihood and its gradient w.r.t. log_post.
 
-    log_post: (T, V) float64 log-posteriors (rows normalized), blank id 0.
+    log_post: (T, V) float64 log-posteriors (rows normalized), blank id 0,
+              or (K, T, V): K posteriors sharing one label.
     labels:   (U,) int32 label ids, no blanks.  The caller guarantees the
               label fits in T frames.
-    Returns (loss: float, grad: (T, V) float64).
+    Returns (loss: float, grad: (T, V) float64) for one posterior and
+    (loss: (K,), grad: (K, T, V)) for a stack.
+
+    One recursion over T runs alpha for all K posteriors and beta as
+    alpha of the time- and state-reversed problem (Graves et al., 2006),
+    as 2K rows of S = 2U + 1 states.
     """
     log_post = np.ascontiguousarray(log_post, dtype=np.float64)
+    if log_post.ndim == 2:
+        loss, grad = ctc_loss_grad(log_post[None], labels)
+        return float(loss[0]), grad[0]
     labels = np.asarray(labels, dtype=np.int64)
-    T, V = log_post.shape
+    K, T, V = log_post.shape
     U = labels.shape[0]
     S = 2 * U + 1
     ext = np.zeros(S, dtype=np.int64)
     ext[1::2] = labels
 
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = log_post[0, 0]
+    # emit[t, r]: the emissions of row r at frame t; rows K.. hold the
+    # reversed problem
+    emit = np.empty((T, 2 * K, S))
+    emit[:, :K] = log_post[:, :, ext].transpose(1, 0, 2)
+    emit[:, K:] = emit[::-1, :K, ::-1]
+    can_skip = np.empty((2 * K, S), dtype=bool)
+    can_skip[:K] = _skip_allowed(ext)
+    can_skip[K:] = _skip_allowed(ext[::-1])
+    can_skip = can_skip[:, 2:]
+
+    fwd = np.full((T, 2 * K, S), NEG_INF)
+    fwd[0, :, 0] = emit[0, :, 0]
     if S > 1:
-        alpha[0, 1] = log_post[0, ext[1]]
-    same_as_two_back = np.zeros(S, dtype=bool)
-    if S > 2:
-        same_as_two_back[2:] = ext[2:] == ext[:-2]
+        fwd[0, :, 1] = emit[0, :, 1]
+    step = np.full((2 * K, S), NEG_INF)
+    skip = np.full((2 * K, S), NEG_INF)
     for t in range(1, T):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.full(S, NEG_INF)
-        step[1:] = prev[:-1]
-        skip = np.full(S, NEG_INF)
-        skip[2:] = prev[:-2]
-        # the skip transition is illegal into blanks and repeated labels
-        skip[(ext == 0) | same_as_two_back] = NEG_INF
-        alpha[t] = np.logaddexp(np.logaddexp(stay, step), skip) + log_post[t, ext]
+        prev = fwd[t - 1]
+        step[:, 1:] = prev[:, :-1]
+        np.copyto(skip[:, 2:], prev[:, :-2], where=can_skip)
+        cur = fwd[t]
+        np.logaddexp(prev, step, out=cur)
+        np.logaddexp(cur, skip, out=cur)
+        cur += emit[t]
 
-    total = alpha[T - 1, S - 1]
+    alpha = fwd[:, :K].transpose(1, 0, 2)
+    beta = fwd[::-1, K:, ::-1].transpose(1, 0, 2)
+    total = alpha[:, T - 1, S - 1]
     if S > 1:
-        total = np.logaddexp(total, alpha[T - 1, S - 2])
-    loss = -float(total)
-
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = log_post[T - 1, ext[S - 1]]
-    if S > 1:
-        beta[T - 1, S - 2] = log_post[T - 1, ext[S - 2]]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.full(S, NEG_INF)
-        step[:-1] = nxt[1:]
-        skip = np.full(S, NEG_INF)
-        skip[:-2] = nxt[2:]
-        blocked = np.zeros(S, dtype=bool)
-        blocked[:-2] = (ext[2:] == 0) | (ext[2:] == ext[:-2])
-        skip[blocked] = NEG_INF
-        beta[t] = np.logaddexp(np.logaddexp(stay, step), skip) + log_post[t, ext]
+        total = np.logaddexp(total, alpha[:, T - 1, S - 2])
 
     # state occupancy: alpha and beta both include the frame-t emission,
     # so subtract it once
-    gamma = alpha + beta - log_post[:, ext] - total
-    grad = np.zeros_like(log_post)
+    gamma = (alpha + beta - log_post[:, :, ext]
+             - total[:, None, None])
     occ = np.exp(gamma)
     occ[~np.isfinite(gamma)] = 0.0
+    grad = np.zeros_like(log_post)
     for s in range(S):
-        grad[:, ext[s]] -= occ[:, s]
-    return loss, grad
+        grad[:, :, ext[s]] -= occ[:, :, s]
+    return -total, grad
+
+
+def _skip_allowed(ext: np.ndarray) -> np.ndarray:
+    """Per state of the extended label: may alpha skip into it from two
+    states back?  Never into a blank or a repeated label."""
+    allowed = ext != 0
+    allowed[2:] &= ext[2:] != ext[:-2]
+    return allowed
 
 
 def ctc_prefix_all(log_post: np.ndarray, last: int, r_prev: np.ndarray,

@@ -8,7 +8,7 @@ import numpy as np
 from . import serialization, tensor as T
 from .adapt import LanguageMask
 from .beam import BeamConfig, BeamResult, joint_beam_search, prefix_head
-from .ctc import ctc_loss
+from .ctc import ctc_losses
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig, EncoderOutput
 from .errors import ValidationError
@@ -75,12 +75,14 @@ class AsrModel(Module):
         labels = np.asarray(self.vocab.encode_transcript(text, language),
                             dtype=np.int64)
         enc = self.encoder.encode(latent)
+        ctc, *taps = ctc_losses(
+            [enc.final_log_posterior]
+            + [tap for _, tap in enc.tap_log_posteriors], labels)
         out = {
-            "ctc": ctc_loss(enc.final_log_posterior, labels),
+            "ctc": ctc,
             "att": self.decoder.teacher_forced_loss(
                 enc, self.wrapped_target(text, language)),
         }
-        taps = [ctc_loss(tap, labels) for _, tap in enc.tap_log_posteriors]
         if taps:
             acc = taps[0]
             for t in taps[1:]:

@@ -211,17 +211,32 @@ class Embedding(Module):
 class Dropout(Module):
     """Train-time dropout; identity in eval mode.
 
-    Both training loops reseed .rng each step (seed_dropout), so draws
-    depend only on the seed and the step, never on call history.
+    Both training loops name each layer's stream every step
+    (seed_dropout), so draws depend only on the seed and the step,
+    never on call history.  The stream's Generator is built on the
+    layer's first draw, so a layer that never draws never builds one.
     """
 
     def __init__(self, p: float = 0.0):
         super().__init__()
         self.p = p
-        self.rng = np.random.default_rng(0)
+        self._stream = (0,)
+        self._rng = None
+
+    @property
+    def draws(self) -> bool:
+        return self._training and self.p > 0.0
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The named stream, built on first use."""
+        if self._rng is None:
+            self._rng = rng_for(*self._stream)
+        return self._rng
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.dropout(x, self.p, self.rng, self._training)
+        return T.dropout(x, self.p, self.rng if self.draws else None,
+                         self._training)
 
 
 def seed_dropout(module: Module, seed: int, *labels: str) -> None:
@@ -230,7 +245,8 @@ def seed_dropout(module: Module, seed: int, *labels: str) -> None:
     module walk, so no two layers draw the same numbers."""
     for i, mod in enumerate(module._walk_modules()):
         if isinstance(mod, Dropout):
-            mod.rng = rng_for(seed, "dropout", *labels, str(i))
+            mod._stream = (seed, "dropout", *labels, str(i))
+            mod._rng = None
 
 
 class FeedForward(Module):
@@ -282,7 +298,8 @@ class MultiHeadAttention(Module):
         heads = T.attention(
             self.wq(x), self.wk(source), self.wv(source), self.heads,
             rel_table=self.rel_table if kv is None else None,
-            causal=self.causal, p=self.drop.p, rng=self.drop.rng,
+            causal=self.causal, p=self.drop.p,
+            rng=self.drop.rng if self.drop.draws else None,
             training=self.drop.training)
         return self.wo(heads)
 

@@ -218,10 +218,14 @@ def score_corpus(refs: list[dict], hyps: list[dict],
     return ScoreReport(per_language=list(scores.values()), errors=errors)
 
 
+# row fields that, where present, must hold strings
+STRING_FIELDS = ("utt_id", "text", "transcript", "language")
+
+
 def _numbered_rows(path: str, required: tuple[str, ...]):
     """Yield (line number, row) for each non-blank line, which must hold
-    a JSON object with the required keys; ValidationError names
-    path:line otherwise."""
+    a JSON object with the required keys and a string in each of
+    STRING_FIELDS it has; ValidationError names path:line otherwise."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -239,6 +243,11 @@ def _numbered_rows(path: str, required: tuple[str, ...]):
                 if key not in row:
                     raise ValidationError(
                         f"{path}:{lineno} is missing {key!r}")
+            for key in STRING_FIELDS:
+                if key in row and not isinstance(row[key], str):
+                    raise ValidationError(
+                        f"{path}:{lineno} has {key} {row[key]!r}, "
+                        f"not a string")
             yield lineno, row
 
 

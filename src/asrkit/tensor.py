@@ -558,9 +558,10 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return apply_primitive("cross_entropy", (logits,), out, bwd)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
             training: bool) -> Tensor:
-    """Inverted dropout; exact identity (same tensor) when not training."""
+    """Inverted dropout; exact identity (same tensor) when not training
+    or at p = 0, the two cases that draw nothing from rng."""
     if not 0.0 <= p < 1.0:
         raise GraphConstructionError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:

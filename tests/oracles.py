@@ -11,6 +11,7 @@ from asrkit.ctc import (PrefixState, ctc_complete_logprob,
                         ctc_prefix_extend_all, ctc_prefix_initial)
 from asrkit.errors import GraphConstructionError
 from asrkit.nn import inference
+from asrkit.optim import BETA1, BETA2, EPS, warmup_inv_sqrt
 from asrkit.rng import rng_for
 from asrkit.vocab import Vocab
 
@@ -42,6 +43,63 @@ def ctc_logprob_by_sequence(log_post: np.ndarray) -> dict:
         seq = collapse(path)
         table[seq] = np.logaddexp(table[seq], lp) if seq in table else lp
     return table
+
+
+def two_pass_ctc_loss_grad(log_post: np.ndarray, labels: np.ndarray):
+    """CTC loss and gradient for one (T, V) posterior, with alpha and
+    beta as two separate loops over T: the reference for the fused
+    kernel, which must match it bit for bit."""
+    log_post = np.ascontiguousarray(log_post, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    t_len, _ = log_post.shape
+    S = 2 * labels.shape[0] + 1
+    ext = np.zeros(S, dtype=np.int64)
+    ext[1::2] = labels
+
+    alpha = np.full((t_len, S), -np.inf)
+    alpha[0, 0] = log_post[0, 0]
+    if S > 1:
+        alpha[0, 1] = log_post[0, ext[1]]
+    same_as_two_back = np.zeros(S, dtype=bool)
+    if S > 2:
+        same_as_two_back[2:] = ext[2:] == ext[:-2]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        step = np.full(S, -np.inf)
+        step[1:] = prev[:-1]
+        skip = np.full(S, -np.inf)
+        skip[2:] = prev[:-2]
+        skip[(ext == 0) | same_as_two_back] = -np.inf
+        alpha[t] = np.logaddexp(np.logaddexp(prev, step), skip) \
+            + log_post[t, ext]
+
+    total = alpha[t_len - 1, S - 1]
+    if S > 1:
+        total = np.logaddexp(total, alpha[t_len - 1, S - 2])
+
+    beta = np.full((t_len, S), -np.inf)
+    beta[t_len - 1, S - 1] = log_post[t_len - 1, ext[S - 1]]
+    if S > 1:
+        beta[t_len - 1, S - 2] = log_post[t_len - 1, ext[S - 2]]
+    for t in range(t_len - 2, -1, -1):
+        nxt = beta[t + 1]
+        step = np.full(S, -np.inf)
+        step[:-1] = nxt[1:]
+        skip = np.full(S, -np.inf)
+        skip[:-2] = nxt[2:]
+        blocked = np.zeros(S, dtype=bool)
+        blocked[:-2] = (ext[2:] == 0) | (ext[2:] == ext[:-2])
+        skip[blocked] = -np.inf
+        beta[t] = np.logaddexp(np.logaddexp(nxt, step), skip) \
+            + log_post[t, ext]
+
+    gamma = alpha + beta - log_post[:, ext] - total
+    grad = np.zeros_like(log_post)
+    occ = np.exp(gamma)
+    occ[~np.isfinite(gamma)] = 0.0
+    for s in range(S):
+        grad[:, ext[s]] -= occ[:, s]
+    return -float(total), grad
 
 
 def seeded_decode_fn(seed: int, width: int):
@@ -237,3 +295,35 @@ def per_head_attention(q, k, v, heads: int, rel_table=None,
         attn = T.dropout(T.softmax(scores, axis=-1), p, rng, training)
         outs.append(T.matmul(attn, vh))
     return T.concat(outs, axis=1)
+
+
+class PerParameterAdamW:
+    """AdamW as one loop over the parameters, with one pair of moment
+    arrays each: the reference for the flat optimizer."""
+
+    def __init__(self, params, peak_lr=1e-3, warmup=100):
+        self.params = dict(params)
+        self.peak_lr = peak_lr
+        self.warmup = warmup
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self) -> float:
+        self.t += 1
+        lr = warmup_inv_sqrt(self.t, self.peak_lr, self.warmup)
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p.data = p.data - lr * update
+        return lr

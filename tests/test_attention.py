@@ -5,7 +5,7 @@ import pytest
 
 from oracles import per_head_attention
 from asrkit import tensor as T
-from asrkit.nn import MultiHeadAttention
+from asrkit.nn import MultiHeadAttention, seed_dropout
 
 
 def random_attention(rng):
@@ -42,7 +42,7 @@ def outputs_and_grads(mha, call, arrays, weights, dtype, seed):
     for _, p in mha.named_parameters():
         p.data = p.data.astype(dtype)
     mha.zero_grad()
-    mha.drop.rng = np.random.default_rng(seed)
+    seed_dropout(mha, seed)
     inputs = [T.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
     out = call(mha, inputs[0], inputs[1] if len(inputs) == 2 else None)
     T.backward(T.sum_(out * T.constant(weights.astype(dtype))))

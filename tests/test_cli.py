@@ -280,6 +280,15 @@ BAD_SCORE_INPUTS = {
         "hours", '{"language": "en", "hours": 1}\n'
                  '{"language": "de", "hours": "many"}\n',
         ":2 has hours 'many', not a number"),
+    "hyps_text_a_number": ("hyps", '{"utt_id": "a", "text": 5}\n',
+                           ":1 has text 5, not a string"),
+    "hyps_text_a_list": ("hyps", '{"utt_id": "a", "text": ["x"]}\n',
+                         ":1 has text ['x'], not a string"),
+    "hyps_utt_id_a_list": ("hyps", '{"utt_id": ["a"], "text": "x"}\n',
+                           ":1 has utt_id ['a'], not a string"),
+    "refs_language_a_number": (
+        "refs", '{"utt_id": "a", "text": "x", "language": 7}\n',
+        ":1 has language 7, not a string"),
 }
 
 
@@ -287,11 +296,12 @@ BAD_SCORE_INPUTS = {
 def test_score_with_a_bad_input_line_exits_1(pipeline, tmp_path, capsys,
                                              case):
     which, text, fault = BAD_SCORE_INPUTS[case]
-    files = {"hyps": pipeline["hyps"], "hours": pipeline["hours"]}
+    files = {"refs": pipeline["manifest"], "hyps": pipeline["hyps"],
+             "hours": pipeline["hours"]}
     files[which] = str(tmp_path / f"{which}.jsonl")
     open(files[which], "w", encoding="utf-8").write(text)
     out = tmp_path / "report"
-    assert main(["score", pipeline["manifest"], files["hyps"],
+    assert main(["score", files["refs"], files["hyps"],
                  files["hours"], "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and files[which] + fault in err

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients
-from asrkit import tensor as T
+from oracles import two_pass_ctc_loss_grad
+from asrkit import kernels, tensor as T
 from asrkit.ctc import (PrefixState, ctc_complete_logprob, ctc_loss,
-                          ctc_prefix_extend_all, ctc_prefix_initial,
-                          min_frames)
+                          ctc_losses, ctc_prefix_extend_all,
+                          ctc_prefix_initial, min_frames)
+from asrkit.kernels import pure
 from asrkit.errors import ImpossibleAlignmentError, ValidationError
 
 
@@ -103,6 +105,97 @@ def test_loss_dtype_follows_input():
     assert ctc_loss(T.constant(lp.astype(np.float32)),
                     labels).data.dtype == np.float32
     assert ctc_loss(T.constant(lp), labels).data.dtype == np.float64
+
+
+def random_stack(rng):
+    """K posteriors sharing one label, with repeated labels, U = 0 and
+    T = min_frames among the draws."""
+    vocab = int(rng.integers(2, 9))
+    labels = rng.integers(1, min(vocab, int(rng.integers(2, 4))),
+                          size=rng.integers(0, 8)).astype(np.int64)
+    frames = max(1, min_frames(labels) + int(rng.choice([0, 0, 1, 5, 40])))
+    k = int(rng.integers(1, 4))
+    logits = rng.normal(size=(k, frames, vocab)) * rng.choice([1.0, 8.0])
+    lp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return lp, labels
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_kernel_equals_separate_calls():
+    rng = np.random.default_rng(21)
+    for _ in range(150):
+        lp, labels = random_stack(rng)
+        losses, grads = kernels.ctc_loss_grad(lp, labels)
+        assert losses.shape == (len(lp),) and grads.shape == lp.shape
+        for k in range(len(lp)):
+            loss, grad = kernels.ctc_loss_grad(lp[k], labels)
+            assert isinstance(loss, float)
+            assert same_bytes(losses[k], loss)
+            assert same_bytes(grads[k], grad)
+
+
+def test_fused_kernel_equals_the_two_pass_reference():
+    # beta as alpha of the reversed problem: the same sums in the same
+    # order as a separate backward loop, so the same bits
+    rng = np.random.default_rng(22)
+    for _ in range(150):
+        lp, labels = random_stack(rng)
+        losses, grads = pure.ctc_loss_grad(lp, labels)
+        for k in range(len(lp)):
+            loss, grad = two_pass_ctc_loss_grad(lp[k], labels)
+            assert same_bytes(losses[k], loss)
+            assert same_bytes(grads[k], grad)
+
+
+def test_stacked_losses_match_enumeration():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        frames = int(rng.integers(1, 6))
+        vocab = int(rng.integers(2, 5))
+        labels = rng.integers(1, vocab,
+                              size=rng.integers(0, 4)).astype(np.int64)
+        if frames < min_frames(labels):
+            continue
+        lps = [random_log_post(rng, frames, vocab) for _ in range(3)]
+        got = ctc_losses([T.constant(lp) for lp in lps], labels)
+        for lp, loss in zip(lps, got):
+            assert abs(loss.item() - brute_force_ctc(lp, labels)) < 1e-9
+
+
+def test_losses_gradient():
+    labels = np.array([1, 2, 2], dtype=np.int64)
+
+    def build(a, b, c):
+        final, *taps = ctc_losses(
+            [T.log_softmax(x) for x in (a, b, c)], labels)
+        return 0.3 * final + 0.5 * (taps[0] + taps[1])
+    rng = np.random.default_rng(13)
+    check_gradients(build, [rng.normal(size=(7, 4)) for _ in range(3)],
+                    tol=1e-5, max_coords=8)
+
+
+def test_losses_are_separate_primitives():
+    rng = np.random.default_rng(14)
+    lps = [T.Tensor(random_log_post(rng, 6, 4), requires_grad=True)
+           for _ in range(3)]
+    labels = np.array([1, 3], dtype=np.int64)
+    losses = ctc_losses(lps, labels)
+    T.backward(losses[1])
+    assert lps[0].grad is None and lps[2].grad is None
+    _, grad = kernels.ctc_loss_grad(lps[1].data, labels)
+    assert same_bytes(lps[1].grad, grad)
+
+
+def test_losses_need_one_shape():
+    rng = np.random.default_rng(15)
+    with pytest.raises(ValidationError):
+        ctc_losses([T.constant(random_log_post(rng, 6, 4)),
+                    T.constant(random_log_post(rng, 5, 4))],
+                   np.array([1], dtype=np.int64))
 
 
 def build_prefix(log_post, tokens):

@@ -5,7 +5,7 @@ tests that run on either backend)."""
 import numpy as np
 import pytest
 
-from asrkit.kernels import pure
+from asrkit.kernels import pure, stacked_ctc_loss_grad
 
 
 def random_log_post(rng, frames, vocab):
@@ -30,6 +30,20 @@ def test_ctc_loss_grad_backends_agree(trial):
     loss_p, grad_p = pure.ctc_loss_grad(lp, labels)
     loss_c, grad_c = compiled.ctc_loss_grad(lp, labels)
     assert abs(loss_p - loss_c) < 1e-12
+    np.testing.assert_allclose(grad_p, grad_c, atol=1e-12)
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_stacked_ctc_loss_grad_backends_agree(trial):
+    rng = np.random.default_rng(150 + trial)
+    labels = rng.integers(1, 4, size=rng.integers(0, 5)).astype(np.int64)
+    frames = 2 * len(labels) + 1 + int(rng.integers(0, 20))
+    lp = np.stack([random_log_post(rng, frames, 5) for _ in range(3)])
+    loss_p, grad_p = pure.ctc_loss_grad(lp, labels)
+    loss_c, grad_c = stacked_ctc_loss_grad(compiled.ctc_loss_grad)(
+        lp, labels)
+    assert loss_c.shape == (3,) and grad_c.shape == lp.shape
+    np.testing.assert_allclose(loss_p, loss_c, atol=1e-12)
     np.testing.assert_allclose(grad_p, grad_c, atol=1e-12)
 
 
