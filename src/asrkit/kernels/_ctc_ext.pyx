@@ -1,8 +1,9 @@
 # cython: language_level=3
 """Compiled kernels: CTC forward-backward, CTC prefix scoring, edit counts.
 
-Signature-for-signature twin of asrkit.kernels.pure; the dispatcher in
-asrkit.kernels picks whichever is available.
+Same semantics as asrkit.kernels.pure, except that ctc_loss_grad takes
+one (T, V) posterior only; asrkit.kernels lifts it to a (K, T, V) stack
+and picks whichever backend is available.
 """
 
 import numpy as np

@@ -183,7 +183,7 @@ class Linear(Module):
         self.bias = parameter(np.zeros(out_dim, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight) + self.bias
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

@@ -6,8 +6,13 @@ Design notes:
   * The graph is built from per-output op records (op name, inputs,
     backward rule).  backward() computes a depth-first postorder from the
     loss, which is a topological order, and visits each node exactly once.
-  * Gradients accumulate additively into .grad; calling backward twice
-    without zero_grad doubles the gradient, matching standard loops.
+  * Gradients land in .grad on leaves only (tensors with no op record,
+    i.e. parameters and inputs); intermediate results pass their
+    gradient on and keep .grad None.  A leaf accumulates additively, so
+    two backward passes over two graphs without zero_grad add up.
+  * backward consumes the graph: each op record is released once its
+    rule has run, so saved buffers are freed as the pass goes.  A second
+    backward through the same graph raises GraphConstructionError.
   * Only registered primitives may appear in a graph; attempting to
     record an unregistered op raises GraphConstructionError.  Other
     modules may register their own ops (the CTC loss does).
@@ -35,7 +40,7 @@ def registered_primitives() -> frozenset[str]:
 
 
 for _name in (
-    "matmul", "add", "mul", "softmax", "log_softmax", "layer_norm",
+    "matmul", "linear", "add", "mul", "softmax", "log_softmax", "layer_norm",
     "conv1d", "depthwise_conv1d", "glu", "swish", "embedding", "concat",
     "slice", "sum", "cross_entropy", "dropout", "attention",
 ):
@@ -69,6 +74,10 @@ class _OpRecord:
         self.op = op
         self.inputs = inputs
         self.backward = backward
+
+
+# stands in for the op record of a node whose backward rule has run
+_CONSUMED = _OpRecord("consumed", (), None)
 
 
 class Tensor:
@@ -170,8 +179,14 @@ def apply_primitive(name, inputs, out_data, backward) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dx into .grad for every requires_grad tensor
-    reachable from the scalar loss."""
+    """Accumulate dLoss/dx into .grad for every requires_grad leaf
+    reachable from the scalar loss, consuming the graph.
+
+    Intermediate tensors keep .grad None.  Each op record is replaced by
+    a sentinel once its rule has run, which frees the buffers it saved;
+    a later backward that reaches a consumed node raises
+    GraphConstructionError before any gradient changes.
+    """
     if loss.data.size != 1:
         raise GraphConstructionError(
             f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -191,30 +206,39 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        entry = node._entry
+        if entry is _CONSUMED:
+            raise GraphConstructionError(
+                "graph already consumed by an earlier backward; "
+                "run the forward pass again")
         stack.append((node, True))
-        if node._entry is not None:
-            for parent in node._entry.inputs:
+        if entry is not None:
+            for parent in entry.inputs:
                 if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
 
     messages: dict[int, np.ndarray] = {
         id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    # popping drops topo's reference, so a node whose consumers have all
+    # run is freed along with its record
+    while topo:
+        node = topo.pop()
         g = messages.pop(id(node), None)
-        if g is None:
-            continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         entry = node._entry
         if entry is None:
+            if g is not None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
+            continue
+        node._entry = _CONSUMED
+        if g is None:
             continue
         grads_in = entry.backward(g)
         for parent, gi in zip(entry.inputs, grads_in):
             if gi is None or not parent.requires_grad:
                 continue
-            gi = np.asarray(gi, dtype=parent.data.dtype)
+            dtype = parent.data.dtype
+            if type(gi) is not np.ndarray or gi.dtype != dtype:
+                gi = np.asarray(gi, dtype=dtype)
             if gi.shape != parent.data.shape:
                 gi = gi.reshape(parent.data.shape)
             acc = messages.get(id(parent))
@@ -250,6 +274,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bd.T, ad.T @ g
 
     return apply_primitive("matmul", (a, b), out, bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b: (N, in) x (in, out) + (out,) -> (N, out)."""
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise GraphConstructionError(
+            f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd + b.data
+
+    def bwd(g):
+        return g @ wd.T, xd.T @ g, g.sum(axis=0)
+
+    return apply_primitive("linear", (x, w, b), out, bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -315,17 +354,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise GraphConstructionError(
             f"layer_norm affine shape mismatch: x {x.shape}, "
             f"gamma {gamma.shape}, beta {beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # np.add.reduce(...) / n is what ndarray.mean and .var compute,
+    # without their Python wrappers
+    n = x.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    centered = x.data - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centered * inv
     out = xhat * gamma.data + beta.data
     gd = gamma.data
 
     def bwd(g):
         dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
         dx = (dxhat - m1 - xhat * m2) * inv
         reduce_axes = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=reduce_axes)
@@ -435,12 +478,11 @@ def glu(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, each from
+    # e = e^-|x| <= 1, so neither branch can overflow
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def swish(x: Tensor) -> Tensor:

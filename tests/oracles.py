@@ -297,6 +297,58 @@ def per_head_attention(q, k, v, heads: int, rel_table=None,
     return T.concat(outs, axis=1)
 
 
+def store_every_grad_backward(loss) -> None:
+    """Backward that stores a .grad copy on every node and keeps the
+    graph: the reference for tensor.backward, which writes .grad on
+    leaves only and consumes the graph, and must give every leaf the
+    same bytes."""
+    if loss.data.size != 1:
+        raise GraphConstructionError(
+            f"backward needs a scalar loss, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        raise GraphConstructionError(
+            "loss does not require grad; it is not connected to any parameters")
+
+    topo = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        if node._entry is not None:
+            for parent in node._entry.inputs:
+                if id(parent) not in seen and parent.requires_grad:
+                    stack.append((parent, False))
+
+    messages = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = messages.pop(id(node), None)
+        if g is None:
+            continue
+        if node.grad is None:
+            node.grad = g.copy()
+        else:
+            node.grad = node.grad + g
+        entry = node._entry
+        if entry is None:
+            continue
+        grads_in = entry.backward(g)
+        for parent, gi in zip(entry.inputs, grads_in):
+            if gi is None or not parent.requires_grad:
+                continue
+            gi = np.asarray(gi, dtype=parent.data.dtype)
+            if gi.shape != parent.data.shape:
+                gi = gi.reshape(parent.data.shape)
+            acc = messages.get(id(parent))
+            messages[id(parent)] = gi if acc is None else acc + gi
+
+
 class PerParameterAdamW:
     """AdamW as one loop over the parameters, with one pair of moment
     arrays each: the reference for the flat optimizer."""

@@ -141,6 +141,8 @@ def test_every_primitive_and_stack_gradient_matches_finite_differences():
                                          rng=np.random.default_rng(9),
                                          training=True) * m),
                       [(5, 6), (5, 6), (5, 6), (5, 2)]),
+        "linear": (lambda x, w, b, m=T.constant(_r(3, 2)):
+                   T.sum_(T.linear(x, w, b) * m), [(3, 4), (4, 2), (2,)]),
     }
     assert frozenset(checks) == T.registered_primitives()
     for name in sorted(checks):

@@ -296,6 +296,69 @@ def test_frozen_step_matches_the_in_graph_frontend_without_dropout(
         assert got_state[name].tobytes() == array.tobytes(), name
 
 
+def graph_nodes(loss):
+    """Every tensor of loss's graph that has an op record."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._entry is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._entry.inputs)
+    return nodes
+
+
+def test_leaf_only_backward_matches_the_store_every_grad_engine(
+        toy_corpus, monkeypatch):
+    # one unfrozen depth-6 step with the conftest configs, dropout on,
+    # under the engine and under the reference that keeps every .grad
+    from conftest import DECODER_CFG, ENCODER_CFG, FRONTEND_CFG
+    from oracles import store_every_grad_backward
+    from asrkit import tensor as T
+    from asrkit.curriculum import train_step
+    from asrkit.data import load_features
+    from asrkit.optim import AdamW
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    utts = toy_corpus["train"][:2]
+    feats = {u.utt_id: load_features(toy_corpus["train_manifest"], u)
+             for u in utts}
+
+    def run(engine):
+        model = AsrModel(ModelConfig(frontend=SslConfig(**FRONTEND_CFG),
+                                     encoder=EncoderConfig(**ENCODER_CFG),
+                                     decoder=DecoderConfig(**DECODER_CFG),
+                                     seed=7), vocab)
+        model.encoder.grow(6)
+        model.train()
+        inner = []
+
+        def recording(loss):
+            inner.extend(graph_nodes(loss))
+            engine(loss)
+
+        monkeypatch.setattr(T, "backward", recording)
+        opt = AdamW(trainable_parameters(model, ()), peak_lr=1e-3, warmup=1)
+        train_step(model, opt, utts, feats, seed=3, stage_index=6, step=0)
+        return dict(model.named_parameters()), inner
+
+    got, got_inner = run(T.backward)
+    want, want_inner = run(store_every_grad_backward)
+    assert got.keys() == want.keys()
+    compared = set()
+    for name, p in got.items():
+        if want[name].grad is None:
+            # the frontend's SSL-only parameters take no part in a step
+            assert p.grad is None, name
+            continue
+        assert p.grad.tobytes() == want[name].grad.tobytes(), name
+        compared.add(name)
+    assert {n for n in got if not n.startswith("frontend.")} <= compared
+    assert len(got_inner) == len(want_inner) > 0
+    assert all(t.grad is None for t in got_inner)
+    assert all(t.grad is not None for t in want_inner)
+
+
 def test_frozen_stages_extract_each_utterance_once(toy_corpus, tmp_path,
                                                    monkeypatch):
     from asrkit.ssl import Frontend

@@ -15,10 +15,11 @@ def r(*shape):
 
 def test_registry_contains_catalog():
     names = T.registered_primitives()
-    for expected in ("matmul", "add", "mul", "softmax", "log_softmax",
-                     "layer_norm", "conv1d", "depthwise_conv1d", "glu",
-                     "swish", "embedding", "concat", "slice", "sum",
-                     "cross_entropy", "dropout", "attention"):
+    for expected in ("matmul", "linear", "add", "mul", "softmax",
+                     "log_softmax", "layer_norm", "conv1d",
+                     "depthwise_conv1d", "glu", "swish", "embedding",
+                     "concat", "slice", "sum", "cross_entropy", "dropout",
+                     "attention"):
         assert expected in names
 
 
@@ -53,6 +54,49 @@ def test_grad_accumulates_across_uses():
     y = T.sum_(x * x) + T.sum_(x * x)
     T.backward(y)
     np.testing.assert_allclose(x.grad, 4.0 * x.data)
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    x = T.Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    h = x * x
+    y = T.sum_(h)
+    T.backward(y)
+    assert h.grad is None  # gradients land on leaves only
+    first = x.grad.copy()
+    with pytest.raises(GraphConstructionError):
+        T.backward(y)
+    # a new loss over a consumed intermediate is refused the same way
+    with pytest.raises(GraphConstructionError):
+        T.backward(T.sum_(h * 2.0))
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_linear_is_matmul_plus_add_bit_for_bit():
+    # its own stream leaves RNG's draws for the tests below as they were
+    rng = np.random.default_rng(44)
+    arrays = [rng.normal(size=s).astype(np.float32)
+              for s in ((5, 4), (4, 3), (3,))]
+    weights = T.constant(rng.normal(size=(5, 3)).astype(np.float32))
+
+    def run(fn):
+        x, w, b = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = fn(x, w, b)
+        T.backward(T.sum_(out * weights))
+        return [out.data, x.grad, w.grad, b.grad]
+
+    fused = run(T.linear)
+    pair = run(lambda x, w, b: T.matmul(x, w) + b)
+    for got, want in zip(fused, pair):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_linear_rejects_mismatched_shapes():
+    x = T.Tensor(np.ones((5, 4)), requires_grad=True)
+    with pytest.raises(GraphConstructionError):
+        T.linear(x, T.constant(np.ones((3, 2))), T.constant(np.ones(2)))
+    with pytest.raises(GraphConstructionError):
+        T.linear(x, T.constant(np.ones((4, 2))), T.constant(np.ones(3)))
 
 
 def test_dtype_preserved():
