@@ -7,8 +7,6 @@ degrades to pure Python; asrkit.kernels falls back to the numpy
 implementations at import time, so nothing else changes.
 """
 
-import os
-
 from setuptools import setup
 from setuptools.command.build_ext import build_ext
 
@@ -32,8 +30,6 @@ class OptionalBuildExt(build_ext):
 
 
 def extensions():
-    if os.environ.get("ASRKIT_SKIP_EXT"):
-        return []
     try:
         import numpy
         from Cython.Build import cythonize

@@ -56,6 +56,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     from .data import load_features, validate_manifest
+    from .serialization import metrics_row
     from .ssl import Frontend, SslConfig, pretrain, save_frontend
     utts = validate_manifest(args.manifest)
     feats = [load_features(args.manifest, u) for u in utts]
@@ -72,7 +73,7 @@ def cmd_pretrain(args) -> int:
     log_path = os.path.join(args.out_dir, "metrics.jsonl")
     with open(log_path, "w", encoding="utf-8") as fh:
         def log(row):
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(metrics_row(row) + "\n")
             if args.verbose and row["step"] % 50 == 0:
                 print(f"step {row['step']} loss {row['loss_total']:.4f} "
                       f"acc {row['mlm_accuracy']:.3f}")

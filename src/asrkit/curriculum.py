@@ -17,8 +17,6 @@ stage checkpoint is bit-identical to one that never stopped.
 """
 
 import configparser
-import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -30,6 +28,7 @@ from .model import (ATT_WEIGHT, CTC_WEIGHT, TAP_WEIGHT, AsrModel,
 from .nn import seed_dropout
 from .optim import AdamW
 from .rng import rng_for
+from .serialization import metrics_row
 
 TOY_DEPTHS = (2, 4, 6, 6, 6, 6, 6)
 PAPER_DEPTHS = (8, 16, 24, 24, 24, 24, 24)
@@ -133,22 +132,26 @@ def build_stage_plan(scale: str, languages: list[str],
 
 def load_stage_plan(path: str) -> StagePlan:
     """Read a plan from an INI file: one [stageN] section per stage plus
-    an optional [plan] section with batch_max_frames."""
+    an optional [plan] section with batch_max_frames.  A file that is
+    not such a plan raises ValidationError naming the path."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"bad stage plan {path!r}: {exc}") from None
     if not read:
         raise ValidationError(f"cannot read stage plan {path!r}")
     stages = []
     names = [s for s in parser.sections() if s.lower() != "plan"]
     for section in names:
         sec = parser[section]
-        langs_raw = sec.get("languages", "*").strip()
-        languages = None if langs_raw == "*" else tuple(
-            x.strip() for x in langs_raw.split(",") if x.strip())
-        freeze_raw = sec.get("freeze", FRONTEND_SET).strip()
-        freeze = () if freeze_raw in ("", "none") else tuple(
-            x.strip() for x in freeze_raw.split(","))
         try:
+            langs_raw = sec.get("languages", "*").strip()
+            languages = None if langs_raw == "*" else tuple(
+                x.strip() for x in langs_raw.split(",") if x.strip())
+            freeze_raw = sec.get("freeze", FRONTEND_SET).strip()
+            freeze = () if freeze_raw in ("", "none") else tuple(
+                x.strip() for x in freeze_raw.split(","))
             stages.append(Stage(
                 name=sec.get("name", section),
                 encoder_depth=int(sec["depth"]),
@@ -159,13 +162,17 @@ def load_stage_plan(path: str) -> StagePlan:
                 peak_lr=float(sec.get("peak_lr", "2e-3")),
                 warmup=int(sec.get("warmup", "40")),
             ))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, configparser.Error) as exc:
             raise ValidationError(
                 f"bad stage section [{section}] in {path!r}: {exc}"
             ) from None
     batch_max = 800
     if parser.has_section("plan"):
-        batch_max = int(parser["plan"].get("batch_max_frames", "800"))
+        try:
+            batch_max = int(parser["plan"].get("batch_max_frames", "800"))
+        except (ValueError, configparser.Error) as exc:
+            raise ValidationError(
+                f"bad [plan] section in {path!r}: {exc}") from None
     return StagePlan(stages=tuple(stages), batch_max_frames=batch_max)
 
 
@@ -297,14 +304,6 @@ class CurriculumResult:
     final_dir: str
 
 
-def _json_row(row: dict) -> str:
-    # non-finite losses (a batch whose utterances were all skipped) are
-    # written as null: bare NaN is not JSON
-    clean = {k: None if isinstance(v, float) and not math.isfinite(v) else v
-             for k, v in row.items()}
-    return json.dumps(clean, sort_keys=True, allow_nan=False)
-
-
 def run_curriculum(model: AsrModel, utts: list[Utterance],
                    manifest_path: str, plan: StagePlan, seed: int,
                    out_dir: str, resume_from: str | None = None,
@@ -361,7 +360,7 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
                                      seed, si, step, latents)
                 global_step += 1
                 row = {"stage": si + 1, "step": global_step, **metrics}
-                metrics_fh.write(_json_row(row) + "\n")
+                metrics_fh.write(metrics_row(row) + "\n")
                 if log_cb is not None:
                     log_cb(row)
             metrics_fh.flush()

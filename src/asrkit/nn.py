@@ -22,11 +22,16 @@ def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 
 
 class Module:
-    """Base class: tracks parameters, buffers, and train/eval mode.
+    """Base class: owns parameters and state, and a train/eval mode.
 
-    Submodules are discovered through instance attributes (including
-    lists, tuples, and dicts of modules), so attribute definition order
-    fixes parameter order deterministically.
+    One rule decides what a module owns, and walk() is the only place it
+    is applied, so mode switches, dropout seeding, parameters and
+    checkpoints all see the same tree: a module owns every Module and
+    Tensor reachable through its public attributes, including inside
+    lists, tuples and dicts.  Attributes named with a leading "_" are
+    private and never walked.  Attribute definition order fixes the walk
+    order; list items go by index and dict entries by key as a string.
+    State is every Tensor owned; parameters are those with requires_grad.
     """
 
     def __init__(self):
@@ -44,52 +49,75 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    def walk(self, prefix: str = "") -> list:
+        """[(dotted_name, item)] for this module and every Module and
+        Tensor it owns, depth first, each module before what it owns."""
+        walked = []
+        stack = [(prefix, self)]
+        while stack:
+            entry = stack.pop()
+            path, value = entry
+            if isinstance(value, Tensor):
+                walked.append(entry)
+            elif isinstance(value, Module):
+                walked.append(entry)
+                head = f"{path}." if path else ""
+                for name, sub in reversed(value.__dict__.items()):
+                    if name[0] != "_" and isinstance(sub, _OWNING):
+                        stack.append((head + name, sub))
+            elif isinstance(value, dict):
+                for key in reversed(sorted(value, key=str)):
+                    stack.append((f"{path}.{key}", value[key]))
+            elif isinstance(value, (list, tuple)):
+                for i in reversed(range(len(value))):
+                    stack.append((f"{path}.{i}", value[i]))
+        return walked
+
     def _walk_modules(self):
-        yield self
-        for value in self.__dict__.values():
-            yield from _modules_in(value)
+        return [m for _, m in self.walk() if isinstance(m, Module)]
 
     def named_parameters(self, prefix: str = ""):
         """Yield (dotted_name, Tensor) for every trainable parameter."""
-        for name, holder in _named_state_in(self, prefix):
-            if isinstance(holder, Tensor):
-                yield name, holder
+        for name, item in self.walk(prefix):
+            if isinstance(item, Tensor) and item.requires_grad:
+                yield name, item
 
     def named_state(self, prefix: str = ""):
-        """Parameters plus buffers, as numpy arrays, for checkpointing."""
-        return {name: _array(holder)
-                for name, holder in _named_state_in(self, prefix)}
+        """Every owned Tensor's array by dotted name, for checkpointing."""
+        return {name: item.data for name, item in self.walk(prefix)
+                if isinstance(item, Tensor)}
 
     def load_state(self, arrays: dict[str, np.ndarray]):
-        """Copy arrays into the parameters and buffers, name for name.
+        """Copy arrays into the owned Tensors, name for name.
 
         The names must be exactly those of named_state() and every shape
         must match; otherwise CheckpointError names the offending arrays
         and nothing is copied.
         """
-        holders = dict(_named_state_in(self, ""))
+        tensors = {name: item for name, item in self.walk()
+                   if isinstance(item, Tensor)}
         faults = [f"missing {name}"
-                  for name in sorted(holders.keys() - arrays.keys())]
+                  for name in sorted(tensors.keys() - arrays.keys())]
         faults += [f"unexpected {name}"
-                   for name in sorted(arrays.keys() - holders.keys())]
+                   for name in sorted(arrays.keys() - tensors.keys())]
         faults += [f"shape mismatch loading {name}: {arrays[name].shape} "
-                   f"vs {_array(holder).shape}"
-                   for name, holder in holders.items()
-                   if name in arrays
-                   and arrays[name].shape != _array(holder).shape]
+                   f"vs {t.shape}"
+                   for name, t in tensors.items()
+                   if name in arrays and arrays[name].shape != t.shape]
         if faults:
             raise CheckpointError("state does not match the model: "
                                   + "; ".join(faults))
-        for name, holder in holders.items():
-            copy = arrays[name].astype(_array(holder).dtype, copy=True)
-            if isinstance(holder, Tensor):
-                holder.data = copy
-            else:
-                holder.value = copy
+        for name, t in tensors.items():
+            t.data = arrays[name].astype(t.dtype, copy=True)
 
     def zero_grad(self):
         for _, p in self.named_parameters():
             p.zero_grad()
+
+
+# attribute values walk() looks into; anything else a module holds
+# (configs, sizes, flags) owns nothing
+_OWNING = (Tensor, Module, list, tuple, dict)
 
 
 @contextmanager
@@ -108,56 +136,6 @@ def inference(module: Module):
     finally:
         if was_training:
             module.train()
-
-
-class Buffer:
-    """Persistent non-trainable array owned by a module (e.g. a codebook)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value)
-
-
-def _join(prefix, name):
-    return f"{prefix}.{name}" if prefix else name
-
-
-def _modules_in(value):
-    if isinstance(value, Module):
-        yield value
-        for sub in value.__dict__.values():
-            yield from _modules_in(sub)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _modules_in(item)
-    elif isinstance(value, dict):
-        for item in value.values():
-            yield from _modules_in(item)
-
-
-def _named_state_in(value, path):
-    """Yield (dotted_name, holder) for every trainable Tensor and Buffer
-    reachable from value, in attribute order; dict entries go by key."""
-    if isinstance(value, Tensor):
-        if value.requires_grad:
-            yield path, value
-    elif isinstance(value, Buffer):
-        yield path, value
-    elif isinstance(value, Module):
-        for name, sub in value.__dict__.items():
-            if not name.startswith("_"):
-                yield from _named_state_in(sub, _join(path, name))
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _named_state_in(item, f"{path}.{i}")
-    elif isinstance(value, dict):
-        for key in sorted(value, key=str):
-            yield from _named_state_in(value[key], f"{path}.{key}")
-
-
-def _array(holder) -> np.ndarray:
-    return holder.data if isinstance(holder, Tensor) else holder.value
 
 
 def parameter(data: np.ndarray) -> Tensor:

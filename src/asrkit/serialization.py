@@ -130,6 +130,16 @@ def save_json(directory: str, filename: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def metrics_row(row: dict) -> str:
+    """One metrics.jsonl line (without the newline) for both training
+    loops.  A non-finite value, such as the loss of a batch whose
+    utterances were all skipped, is written as null: bare NaN is not
+    JSON."""
+    clean = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in row.items()}
+    return json.dumps(clean, sort_keys=True, allow_nan=False)
+
+
 def load_json(directory: str, filename: str) -> dict:
     """Read one JSON object; a file that is missing, does not parse or
     holds something else raises CheckpointError naming it."""

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import optim, serialization, tensor as T
 from .errors import ValidationError
-from .nn import (REL_BIAS_RADIUS, Buffer, Dropout, FeedForward, LayerNorm,
-                 Linear, Module, MultiHeadAttention, inference, parameter,
+from .nn import (REL_BIAS_RADIUS, Dropout, FeedForward, LayerNorm, Linear,
+                 Module, MultiHeadAttention, inference, parameter,
                  seed_dropout)
 from .rng import rng_for
 from .tensor import Tensor
@@ -177,7 +177,8 @@ class Frontend(Module):
             rng.normal(0.0, 0.1, size=(1, cfg.input_dim)).astype(np.float32))
         self.mlm_head = Linear(cfg.hidden_dim, cfg.codebook_size, rng)
         self.contrastive_head = Linear(cfg.hidden_dim, cfg.input_dim, rng)
-        self.codebook = Buffer(
+        # state without requires_grad: checkpointed, never trained
+        self.codebook = Tensor(
             rng.normal(0.0, 1.0,
                        size=(cfg.codebook_size, cfg.input_dim))
             .astype(np.float32))
@@ -238,7 +239,7 @@ class Frontend(Module):
             pick = rng.choice(pool.shape[0], size=K, replace=True)
             book = pool[pick] + rng.normal(
                 0.0, 0.05, size=(K, pool.shape[1])).astype(np.float32)
-        self.codebook.value = book
+        self.codebook.data = book
 
     def ssl_loss(self, feat: AudioFeatures, rng: np.random.Generator):
         """Masked-prediction + contrastive loss for one utterance.
@@ -248,7 +249,7 @@ class Frontend(Module):
         cfg = self.cfg
         frames = feat.frames
         masked_x, midx = self.apply_span_mask(frames, rng)
-        codes = quantize(frames, self.codebook.value)
+        codes = quantize(frames, self.codebook.data)
         mcodes = codes[midx]
 
         final, tapped = self.forward_latent(
@@ -275,7 +276,7 @@ class Frontend(Module):
                      rng.integers(0, cfg.codebook_size,
                                   size=NUM_DISTRACTORS)])
             cand = T.constant(
-                self.codebook.value[cand_codes].T.astype(np.float32))
+                self.codebook.data[cand_codes].T.astype(np.float32))
             rows.append(T.matmul(cvecs[i:i + 1, :], cand) * scale)
         con_logits = T.concat(rows, axis=0)
         loss_con = T.cross_entropy(

@@ -385,11 +385,10 @@ def _same_pad(T: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out_len, left, total - left
 
 
-def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None,
-           stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """1-D convolution over time with same-padding: (T, Cin) -> (ceil(T/stride), Cout).
 
-    Weight layout is (kernel, Cin, Cout).
+    Weight layout is (kernel, Cin, Cout); bias is (Cout,).
     """
     if x.ndim != 2 or w.ndim != 3 or x.shape[1] != w.shape[1]:
         raise GraphConstructionError(
@@ -402,12 +401,10 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     idx = np.arange(out_len) * stride
     windows = np.stack([xp[idx + k] for k in range(K)], axis=1)  # (out, K, cin)
     out = np.tensordot(windows, w.data, axes=([1, 2], [0, 1]))
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise GraphConstructionError(
-                f"conv1d bias shape mismatch: {bias.shape} for Cout={cout}")
-        out = out + bias.data
-    inputs = (x, w) if bias is None else (x, w, bias)
+    if bias.shape != (cout,):
+        raise GraphConstructionError(
+            f"conv1d bias shape mismatch: {bias.shape} for Cout={cout}")
+    out = out + bias.data
     wd = w.data
 
     def bwd(g):
@@ -415,12 +412,9 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         gxp = np.zeros_like(xp)
         for k in range(K):
             np.add.at(gxp, idx + k, g @ wd[k].T)
-        gx = gxp[pl:pl + T]
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=0)
+        return gxp[pl:pl + T], gw, g.sum(axis=0)
 
-    return apply_primitive("conv1d", inputs, out, bwd)
+    return apply_primitive("conv1d", (x, w, bias), out, bwd)
 
 
 def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:

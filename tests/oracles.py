@@ -10,9 +10,10 @@ from asrkit.beam import BeamResult, Hypothesis, prefix_head
 from asrkit.ctc import (PrefixState, ctc_complete_logprob,
                         ctc_prefix_extend_all, ctc_prefix_initial)
 from asrkit.errors import GraphConstructionError
-from asrkit.nn import inference
+from asrkit.nn import Module, inference
 from asrkit.optim import BETA1, BETA2, EPS, warmup_inv_sqrt
 from asrkit.rng import rng_for
+from asrkit.tensor import Tensor
 from asrkit.vocab import Vocab
 
 # a five-token vocabulary whose CTC alphabet is exactly {blank, 1, 2}
@@ -379,3 +380,66 @@ class PerParameterAdamW:
             update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data = p.data - lr * update
         return lr
+
+
+# -- the two module walkers nn.Module.walk replaced ---------------------------
+#
+# _modules_in drove train/eval and seed_dropout; _named_state_in drove
+# named_parameters, named_state, load_state and zero_grad.  They are kept
+# as they were, with the Buffer class that held the SSL codebook, as the
+# reference for the one walk: on the models asrkit builds, both must see
+# what Module.walk sees, in the same order.
+
+
+class Buffer:
+    """Persistent non-trainable array owned by a module (e.g. a codebook)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: np.ndarray):
+        self.value = np.asarray(value)
+
+
+def _join(prefix, name):
+    return f"{prefix}.{name}" if prefix else name
+
+
+def _modules_in(value):
+    if isinstance(value, Module):
+        yield value
+        for sub in value.__dict__.values():
+            yield from _modules_in(sub)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _modules_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _modules_in(item)
+
+
+def _named_state_in(value, path):
+    """Yield (dotted_name, holder) for every trainable Tensor and Buffer
+    reachable from value, in attribute order; dict entries go by key."""
+    if isinstance(value, Tensor):
+        if value.requires_grad:
+            yield path, value
+    elif isinstance(value, Buffer):
+        yield path, value
+    elif isinstance(value, Module):
+        for name, sub in value.__dict__.items():
+            if not name.startswith("_"):
+                yield from _named_state_in(sub, _join(path, name))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _named_state_in(item, f"{path}.{i}")
+    elif isinstance(value, dict):
+        for key in sorted(value, key=str):
+            yield from _named_state_in(value[key], f"{path}.{key}")
+
+
+def two_walk_modules(module):
+    """The module walk behind train/eval and seed_dropout before the one
+    walk: the module, then _modules_in over every attribute."""
+    yield module
+    for value in module.__dict__.values():
+        yield from _modules_in(value)

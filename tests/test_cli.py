@@ -321,6 +321,36 @@ def test_train_with_a_vocab_that_is_not_json_exits_1(pipeline, tmp_path,
     assert not out.exists()
 
 
+def test_train_with_a_plan_without_section_headers_exits_1(pipeline,
+                                                          tmp_path, capsys):
+    plan = tmp_path / "plan.ini"
+    plan.write_text("depth = 2\n")
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", pipeline["manifest"],
+                 "--vocab", pipeline["vocab"], "--out-dir", str(out),
+                 "--stage-plan", str(plan)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(plan) in err
+    assert not out.exists()
+
+
+def test_pretrain_writes_a_nan_metric_as_null(pipeline, tmp_path,
+                                              monkeypatch):
+    from asrkit import ssl
+
+    def one_nan_row(frontend, feats, steps, seed, peak_lr, log_cb):
+        log_cb({"step": 1, "loss_total": float("nan"), "mlm_accuracy": 0.5})
+
+    monkeypatch.setattr(ssl, "pretrain", one_nan_row)
+    out = tmp_path / "fe"
+    assert main(["pretrain", "--manifest", pipeline["manifest"],
+                 "--out-dir", str(out), "--hidden-dim", "16",
+                 "--num-blocks", "1", "--codebook-size", "4"]) == 0
+    lines = open(out / "metrics.jsonl", encoding="utf-8").read()
+    assert lines == ('{"loss_total": null, "mlm_accuracy": 0.5, '
+                     '"step": 1}\n')
+
+
 def test_train_resume(pipeline, tmp_path):
     out = str(tmp_path / "resumed")
     assert main(["train", "--manifest", pipeline["manifest"],

@@ -129,6 +129,23 @@ def test_ini_errors(tmp_path):
         load_stage_plan(str(bad))
 
 
+@pytest.mark.parametrize("text", [
+    "[plan]\nbatch_max_frames = lots\n\n[stage1]\ndepth = 2\n"
+    "freeze = none\n",
+    "depth = 2\nfreeze = none\n",
+    "[stage1]\ndepth = 2\n\n[stage1]\ndepth = 3\nfreeze = none\n",
+    "[stage1]\nname = 50%\ndepth = 2\nfreeze = none\n",
+], ids=["non_integer_batch_max_frames", "no_section_header",
+        "repeated_section", "percent_in_a_value"])
+def test_a_malformed_plan_is_a_validation_error_naming_the_path(tmp_path,
+                                                                text):
+    path = tmp_path / "plan.ini"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        load_stage_plan(str(path))
+    assert str(path) in str(info.value)
+
+
 # -- data selection -----------------------------------------------------------
 
 
