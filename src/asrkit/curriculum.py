@@ -33,6 +33,9 @@ from .serialization import metrics_row
 TOY_DEPTHS = (2, 4, 6, 6, 6, 6, 6)
 PAPER_DEPTHS = (8, 16, 24, 24, 24, 24, 24)
 FRONTEND_SET = "frontend"
+PLAN_KEYS = frozenset({"batch_max_frames"})
+STAGE_KEYS = frozenset({"name", "depth", "languages", "fraction", "steps",
+                        "freeze", "peak_lr", "warmup"})
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,8 @@ def build_stage_plan(scale: str, languages: list[str],
 def load_stage_plan(path: str) -> StagePlan:
     """Read a plan from an INI file: one [stageN] section per stage plus
     an optional [plan] section with batch_max_frames.  A file that is
-    not such a plan raises ValidationError naming the path."""
+    not such a plan, or that holds a key outside PLAN_KEYS and
+    STAGE_KEYS, raises ValidationError naming the path."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -141,6 +145,13 @@ def load_stage_plan(path: str) -> StagePlan:
         raise ValidationError(f"bad stage plan {path!r}: {exc}") from None
     if not read:
         raise ValidationError(f"cannot read stage plan {path!r}")
+    for section in parser.sections():
+        known = PLAN_KEYS if section.lower() == "plan" else STAGE_KEYS
+        unknown = sorted(set(parser[section]) - known)
+        if unknown:
+            raise ValidationError(
+                f"unknown key {unknown[0]!r} in [{section}] of stage plan "
+                f"{path!r}")
     stages = []
     names = [s for s in parser.sections() if s.lower() != "plan"]
     for section in names:
@@ -229,11 +240,20 @@ def pick_batch(buckets: list[list[Utterance]], seed: int, stage_index: int,
 
 def trainable_parameters(model: AsrModel, freeze: tuple[str, ...]
                          ) -> dict[str, T.Tensor]:
+    """The parameters outside every frozen component; a freeze entry
+    that names no model parameter raises ValidationError."""
     params = {}
+    frozen = set()
     for name, p in model.named_parameters():
-        if any(name == f or name.startswith(f + ".") for f in freeze):
-            continue
-        params[name] = p
+        hits = [f for f in freeze if name == f or name.startswith(f + ".")]
+        if hits:
+            frozen.update(hits)
+        else:
+            params[name] = p
+    for f in freeze:
+        if f not in frozen:
+            raise ValidationError(
+                f"freeze entry {f!r} names no model parameter")
     return params
 
 
@@ -304,6 +324,25 @@ class CurriculumResult:
     final_dir: str
 
 
+def _check_resume(path: str, state: dict, plan: StagePlan, seed: int
+                  ) -> None:
+    """Refuse to continue a different plan or seed from a checkpoint."""
+    done = int(state["completed_stages"])
+    if not 1 <= done <= len(plan.stages):
+        raise ValidationError(
+            f"{path!r} completed {done} stages; the plan has "
+            f"{len(plan.stages)}")
+    expected = plan.stages[done - 1].name
+    if state.get("stage_name") != expected:
+        raise ValidationError(
+            f"{path!r} ends stage {state.get('stage_name')!r}; the plan's "
+            f"stage {done} is {expected!r}")
+    if state.get("seed") != seed:
+        raise ValidationError(
+            f"{path!r} was trained with seed {state.get('seed')!r}, "
+            f"not {seed}")
+
+
 def run_curriculum(model: AsrModel, utts: list[Utterance],
                    manifest_path: str, plan: StagePlan, seed: int,
                    out_dir: str, resume_from: str | None = None,
@@ -311,11 +350,12 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
     """Execute the plan, checkpointing at every stage boundary.
 
     resume_from: a stage checkpoint directory written by an earlier run
-    of the same plan; training continues with the following stage on
-    the model loaded from it, and `model` is not used.  Either way the
-    trained model is the result's `model`.
+    of the same plan and seed; training continues with the following
+    stage on the model loaded from it, and `model` is not used.  A
+    checkpoint whose seed, stage name or stage count does not fit this
+    plan and seed raises ValidationError.  Either way the trained model
+    is the result's `model`.
     """
-    os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
 
     start_stage = 0
@@ -327,11 +367,13 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
                 f"{resume_from!r} has no training state to resume from")
         start_stage = int(state["completed_stages"])
         global_step = int(state["global_step"])
+        _check_resume(resume_from, state, plan, seed)
     else:
         # start at the first stage's depth; deeper stages grow later
         model.encoder.grow(plan.stages[0].encoder_depth)
         if os.path.exists(metrics_path):
             os.remove(metrics_path)
+    os.makedirs(out_dir, exist_ok=True)
 
     features_by_id = {
         u.utt_id: load_features(manifest_path, u) for u in utts}

@@ -597,12 +597,13 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
             training: bool) -> Tensor:
     """Inverted dropout; exact identity (same tensor) when not training
-    or at p = 0, the two cases that draw nothing from rng."""
+    or at p = 0, the two cases that draw nothing from rng.  Backward
+    keeps the mask as a bool array, a quarter of a float32 copy."""
     if not 0.0 <= p < 1.0:
         raise GraphConstructionError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    keep = (rng.random(x.shape) >= p).astype(x.dtype)
+    keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)
     out = x.data * keep * scale
 
@@ -624,6 +625,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     bias_h[i, j] = rel_table[clip(j - i, -R, R) + R, h] for a
     (2R+1, H) table, the causal mask adds -1e9 above the diagonal, and
     inverted dropout at rate p draws one (H, tq, tk) mask from rng.
+
+    The bias depends only on j - i, so it is gathered once as an
+    (H, tq+tk-1) row and added through a read-only Toeplitz view.
+    Backward keeps the softmax output, the dropout mask as bool and the
+    per-head q, k, v; it rebuilds the dropped-out weights and the bias
+    bins from those when it runs.
     """
     if (q.ndim != 2 or k.ndim != 2 or v.shape != k.shape
             or q.shape[1] != k.shape[1] or q.shape[1] % heads != 0):
@@ -646,32 +653,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         if rel_table.shape != (2 * radius + 1, heads):
             raise GraphConstructionError(
                 f"relative bias table {rel_table.shape} for {heads} heads")
-        offsets = np.arange(tk)[None, :] - np.arange(tq)[:, None]
-        ids = np.clip(offsets, -radius, radius) + radius  # (tq, tk)
-        scores = scores + rel_table.data.T[:, ids]
+        # table row of every offset j - i from -(tq-1) to tk-1
+        offset_ids = np.clip(np.arange(1 - tq, tk), -radius, radius) + radius
+        bias = _toeplitz(rel_table.data.T[:, offset_ids], tq)
+        if np.result_type(scores, bias) == scores.dtype:
+            scores += bias
+        else:  # a wider table promotes the scores, as an add would
+            scores = scores + bias
         inputs += (rel_table,)
     if causal:
-        scores = scores + np.triu(np.full((tq, tk), -1e9, dtype=q.dtype), k=1)
-    if np.isnan(scores).any():
+        scores += np.triu(np.full((tq, tk), -1e9, dtype=q.dtype), k=1)
+    # a NaN score makes its row maximum NaN
+    row_max = np.max(scores, axis=-1, keepdims=True)
+    if np.isnan(row_max).any():
         raise FloatingPointError("attention softmax input contains NaN")
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    probs = e / np.sum(e, axis=-1, keepdims=True)
-    weights, keep = probs, None
+    probs = np.exp(np.subtract(scores, row_max, out=scores), out=scores)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    keep = None
     keep_scale = 1.0 / (1.0 - p)
     if training and p > 0.0:
-        keep = (rng.random(probs.shape) >= p).astype(probs.dtype)
-        weights = probs * keep * keep_scale
+        keep = rng.random(probs.shape) >= p
+
+    def dropped():
+        return probs if keep is None else probs * keep * keep_scale
 
     def merge_heads(x):
         # (H, t, d) -> (t, H*d) as a fresh C-ordered array: a strided view
         # would change how numpy sums and multiplies it downstream
         return x.transpose(1, 0, 2).copy().reshape(x.shape[1], dim)
 
-    out = merge_heads(np.matmul(weights, vh))
+    out = merge_heads(np.matmul(dropped(), vh))
 
     def bwd(g):
         gh = g.reshape(tq, heads, d).transpose(1, 0, 2)
-        gv = np.matmul(weights.transpose(0, 2, 1), gh)
+        gv = np.matmul(dropped().transpose(0, 2, 1), gh)
         gw = np.matmul(gh, vh.transpose(0, 2, 1))
         if keep is not None:
             gw = gw * keep * keep_scale
@@ -687,9 +702,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         # scores in row order and in the table's dtype, as the per-head
         # embedding gather did; np.bincount would sum in float64
         rows = rel_table.shape[0]
-        bins = ids.ravel() + rows * np.arange(heads)[:, None]
+        bins = _toeplitz(offset_ids, tq) + rows * np.arange(heads)[:, None, None]
         gt = np.zeros(heads * rows, dtype=gs.dtype)
         np.add.at(gt, bins.ravel(), gs.ravel())
         return grads + (gt.reshape(heads, rows).T,)
 
     return apply_primitive("attention", inputs, out, bwd)
+
+
+def _toeplitz(row: np.ndarray, tq: int) -> np.ndarray:
+    """The read-only (..., tq, tk) view m[..., i, j] = row[..., tq-1-i+j]
+    of a (..., tq+tk-1) array whose last axis runs over offsets j - i:
+    row i starts at offset -i and steps back one element per row."""
+    *lead, n = row.shape
+    step = row.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        row[..., tq - 1:], shape=(*lead, tq, n - tq + 1),
+        strides=(*row.strides[:-1], -step, step), writeable=False)

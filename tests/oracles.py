@@ -298,6 +298,93 @@ def per_head_attention(q, k, v, heads: int, rel_table=None,
     return T.concat(outs, axis=1)
 
 
+def gather_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                     rel_table: Tensor | None = None, causal: bool = False,
+                     p: float = 0.0, rng: np.random.Generator | None = None,
+                     training: bool = False) -> Tensor:
+    """tensor.attention as it was before the Toeplitz bias: the bias is
+    gathered through a saved (tq, tk) int64 `ids` array, and backward
+    keeps the float dropout mask and the dropped-out weights.
+
+    Multi-head scaled dot-product attention as one primitive.
+
+    q is (tq, H*d), k and v are (tk, H*d); the result is (tq, H*d), the
+    heads side by side.  Head h computes
+    dropout(softmax(q_h k_h^T / sqrt(d) + bias_h + mask)) v_h, where
+    bias_h[i, j] = rel_table[clip(j - i, -R, R) + R, h] for a
+    (2R+1, H) table, the causal mask adds -1e9 above the diagonal, and
+    inverted dropout at rate p draws one (H, tq, tk) mask from rng.
+    """
+    if (q.ndim != 2 or k.ndim != 2 or v.shape != k.shape
+            or q.shape[1] != k.shape[1] or q.shape[1] % heads != 0):
+        raise GraphConstructionError(
+            f"attention shape mismatch: q {q.shape}, k {k.shape}, "
+            f"v {v.shape}, heads {heads}")
+    if not 0.0 <= p < 1.0:
+        raise GraphConstructionError(f"dropout rate must be in [0, 1), got {p}")
+    tq, dim = q.shape
+    tk = k.shape[0]
+    d = dim // heads
+    qh = q.data.reshape(tq, heads, d).transpose(1, 0, 2).copy()  # (H, tq, d)
+    kt = k.data.reshape(tk, heads, d).transpose(1, 2, 0).copy()  # (H, d, tk)
+    vh = v.data.reshape(tk, heads, d).transpose(1, 0, 2).copy()  # (H, tk, d)
+    scale = np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
+    scores = np.matmul(qh, kt) * scale
+    inputs = (q, k, v)
+    if rel_table is not None:
+        radius = (rel_table.shape[0] - 1) // 2
+        if rel_table.shape != (2 * radius + 1, heads):
+            raise GraphConstructionError(
+                f"relative bias table {rel_table.shape} for {heads} heads")
+        offsets = np.arange(tk)[None, :] - np.arange(tq)[:, None]
+        ids = np.clip(offsets, -radius, radius) + radius  # (tq, tk)
+        scores = scores + rel_table.data.T[:, ids]
+        inputs += (rel_table,)
+    if causal:
+        scores = scores + np.triu(np.full((tq, tk), -1e9, dtype=q.dtype), k=1)
+    if np.isnan(scores).any():
+        raise FloatingPointError("attention softmax input contains NaN")
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+    weights, keep = probs, None
+    keep_scale = 1.0 / (1.0 - p)
+    if training and p > 0.0:
+        keep = (rng.random(probs.shape) >= p).astype(probs.dtype)
+        weights = probs * keep * keep_scale
+
+    def merge_heads(x):
+        # (H, t, d) -> (t, H*d) as a fresh C-ordered array: a strided view
+        # would change how numpy sums and multiplies it downstream
+        return x.transpose(1, 0, 2).copy().reshape(x.shape[1], dim)
+
+    out = merge_heads(np.matmul(weights, vh))
+
+    def bwd(g):
+        gh = g.reshape(tq, heads, d).transpose(1, 0, 2)
+        gv = np.matmul(weights.transpose(0, 2, 1), gh)
+        gw = np.matmul(gh, vh.transpose(0, 2, 1))
+        if keep is not None:
+            gw = gw * keep * keep_scale
+        gs = (gw - np.sum(gw * probs, axis=-1, keepdims=True)) * probs
+        gsc = gs * scale
+        gq = np.matmul(gsc, kt.transpose(0, 2, 1))
+        gkt = np.matmul(qh.transpose(0, 2, 1), gsc)
+        grads = (merge_heads(gq), merge_heads(gkt.transpose(0, 2, 1)),
+                 merge_heads(gv))
+        if rel_table is None:
+            return grads
+        # one np.add.at over (head, offset) bins sums each bias entry's
+        # scores in row order and in the table's dtype, as the per-head
+        # embedding gather did; np.bincount would sum in float64
+        rows = rel_table.shape[0]
+        bins = ids.ravel() + rows * np.arange(heads)[:, None]
+        gt = np.zeros(heads * rows, dtype=gs.dtype)
+        np.add.at(gt, bins.ravel(), gs.ravel())
+        return grads + (gt.reshape(heads, rows).T,)
+
+    return T.apply_primitive("attention", inputs, out, bwd)
+
+
 def store_every_grad_backward(loss) -> None:
     """Backward that stores a .grad copy on every node and keeps the
     graph: the reference for tensor.backward, which writes .grad on

@@ -334,6 +334,32 @@ def test_train_with_a_plan_without_section_headers_exits_1(pipeline,
     assert not out.exists()
 
 
+def test_train_with_a_misspelled_plan_key_exits_1(pipeline, tmp_path,
+                                                  capsys):
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[stage1]\ndepth = 2\nstep = 4\nfreeze = none\n")
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", pipeline["manifest"],
+                 "--vocab", pipeline["vocab"], "--out-dir", str(out),
+                 "--stage-plan", str(plan)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'step'" in err and str(plan) in err
+    assert not out.exists()
+
+
+def test_train_resume_with_another_seed_exits_1(pipeline, tmp_path, capsys):
+    out = tmp_path / "resumed"
+    assert main(["train", "--manifest", pipeline["manifest"],
+                 "--vocab", pipeline["vocab"], "--out-dir", str(out),
+                 "--stage-plan", pipeline["plan"], "--hidden-dim", "16",
+                 "--decoder-layers", "1", "--frontend",
+                 pipeline["frontend"], "--seed", "8", "--resume",
+                 os.path.join(pipeline["run"], "stage1")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed 7" in err
+    assert not out.exists()
+
+
 def test_pretrain_writes_a_nan_metric_as_null(pipeline, tmp_path,
                                               monkeypatch):
     from asrkit import ssl

@@ -146,6 +146,21 @@ def test_a_malformed_plan_is_a_validation_error_naming_the_path(tmp_path,
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("text,key", [
+    ("[stage1]\ndepth = 2\nstep = 4\nfreeze = none\n", "step"),
+    ("[plan]\nbatch_max_frame = 400\n\n[stage1]\ndepth = 2\n"
+     "freeze = none\n", "batch_max_frame"),
+    ("[plan]\ndepth = 2\n\n[stage1]\ndepth = 2\nfreeze = none\n", "depth"),
+], ids=["stage_key", "plan_key", "stage_key_in_plan"])
+def test_an_unknown_plan_key_is_a_validation_error_naming_it(tmp_path, text,
+                                                            key):
+    path = tmp_path / "plan.ini"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        load_stage_plan(str(path))
+    assert repr(key) in str(info.value) and str(path) in str(info.value)
+
+
 # -- data selection -----------------------------------------------------------
 
 
@@ -226,6 +241,27 @@ def test_trainable_parameters_respects_freeze(toy_corpus):
     assert dropped and all(n.startswith("frontend.") for n in dropped)
     # freezing is by component name, not by name prefix string
     assert any(n.startswith("encoder.") for n in no_frontend)
+
+
+def test_a_freeze_entry_naming_no_parameter_is_rejected(toy_corpus,
+                                                         tmp_path):
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    model = small_model(vocab)
+    with pytest.raises(ValidationError, match="'encodr'"):
+        trainable_parameters(model, ("frontend", "encodr"))
+    with pytest.raises(ValidationError, match="'enc'"):
+        trainable_parameters(model, ("enc",))  # a prefix, not a component
+    # through a plan file, before any step trains
+    path = tmp_path / "plan.ini"
+    path.write_text("[stage1]\ndepth = 2\nfreeze = frontend, encodr\n\n"
+                    "[stage2]\ndepth = 2\nfreeze = none\n")
+    plan = load_stage_plan(str(path))
+    out = tmp_path / "run"
+    with pytest.raises(ValidationError, match="'encodr'"):
+        run_curriculum(model, toy_corpus["train"][:2],
+                       toy_corpus["train_manifest"], plan, seed=3,
+                       out_dir=str(out))
+    assert not (out / "stage1").exists()
 
 
 def two_stage_plan(steps=4):
@@ -495,6 +531,39 @@ def test_resume_requires_train_state(toy_corpus, tmp_path):
                        toy_corpus["train_manifest"], two_stage_plan(),
                        seed=3, out_dir=str(tmp_path / "out"),
                        resume_from=ckpt)
+
+
+def resume_from_state(toy_corpus, tmp_path, seed=3, **state):
+    """run_curriculum resumed from an untrained checkpoint whose
+    train_state is the stage-1 state of two_stage_plan at seed 3, with
+    `state` overriding fields."""
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    ckpt = str(tmp_path / "stage1")
+    save_model(ckpt, small_model(vocab), train_state={
+        "completed_stages": 1, "global_step": 4, "stage_name": "a",
+        "seed": 3, **state})
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError) as info:
+        run_curriculum(small_model(vocab), toy_corpus["train"][:2],
+                       toy_corpus["train_manifest"], two_stage_plan(),
+                       seed=seed, out_dir=str(out), resume_from=ckpt)
+    assert ckpt in str(info.value)
+    assert not out.exists()
+    return str(info.value)
+
+
+def test_resume_rejects_a_different_seed(toy_corpus, tmp_path):
+    assert "seed 3" in resume_from_state(toy_corpus, tmp_path, seed=4)
+
+
+def test_resume_rejects_a_different_stage_name(toy_corpus, tmp_path):
+    assert "'b'" in resume_from_state(toy_corpus, tmp_path, stage_name="b")
+
+
+def test_resume_rejects_more_completed_stages_than_the_plan(toy_corpus,
+                                                            tmp_path):
+    message = resume_from_state(toy_corpus, tmp_path, completed_stages=3)
+    assert "completed 3 stages" in message
 
 
 def test_checkpoint_after_growth_reloads_the_grown_model(toy_corpus,
