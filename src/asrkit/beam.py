@@ -69,7 +69,6 @@ class Hypothesis:
     att_logprob: float
     ctc_logprob: float
     lambda_ctc: float
-    finished: bool = False
 
     @property
     def joint(self) -> float:
@@ -146,8 +145,7 @@ def joint_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab,
                 ctc_state=None,
                 att_logprob=hyp.att_logprob + float(att_next[eos]),
                 ctc_logprob=ctc_complete_logprob(hyp.ctc_state),
-                lambda_ctc=cfg.lambda_ctc,
-                finished=True))
+                lambda_ctc=cfg.lambda_ctc))
         extensions.sort(key=Hypothesis.sort_key)
         live = extensions[: cfg.beam_size]
         if can_stop and live and len(finished) >= cfg.nbest:

@@ -104,12 +104,16 @@ def cmd_train(args) -> int:
     else:
         plan = load_stage_plan(args.stage_plan)
 
+    dim = _feature_dim(args.manifest, utts[0])
     pretrained = None
     if args.frontend is not None:
         pretrained = load_frontend(args.frontend)
         frontend_cfg = pretrained.cfg
+        if frontend_cfg.input_dim != dim:
+            raise ValidationError(
+                f"features have {dim} dimensions per frame; the frontend "
+                f"in {args.frontend!r} takes {frontend_cfg.input_dim}")
     else:
-        dim = _feature_dim(args.manifest, utts[0])
         frontend_cfg = SslConfig(input_dim=dim,
                                  hidden_dim=args.hidden_dim,
                                  num_blocks=args.frontend_blocks)

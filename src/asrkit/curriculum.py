@@ -18,10 +18,11 @@ stage checkpoint is bit-identical to one that never stopped.
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import tensor as T
 from .data import Utterance, load_features
+from .encoder import Encoder
 from .errors import ImpossibleAlignmentError, ValidationError
 from .model import (ATT_WEIGHT, CTC_WEIGHT, TAP_WEIGHT, AsrModel,
                     load_model, save_model)
@@ -238,23 +239,38 @@ def pick_batch(buckets: list[list[Utterance]], seed: int, stage_index: int,
 # ---------------------------------------------------------------------------
 
 
+def _freezes(entry: str, name: str) -> bool:
+    return name == entry or name.startswith(entry + ".")
+
+
+def _check_freeze(names, freeze: tuple[str, ...]) -> None:
+    """Raise ValidationError for a freeze entry that names no parameter
+    among `names`; an entry names whole components, so `enc` matches
+    nothing under `encoder`."""
+    for f in freeze:
+        if not any(_freezes(f, name) for name in names):
+            raise ValidationError(
+                f"freeze entry {f!r} names no model parameter")
+
+
 def trainable_parameters(model: AsrModel, freeze: tuple[str, ...]
                          ) -> dict[str, T.Tensor]:
     """The parameters outside every frozen component; a freeze entry
     that names no model parameter raises ValidationError."""
-    params = {}
-    frozen = set()
-    for name, p in model.named_parameters():
-        hits = [f for f in freeze if name == f or name.startswith(f + ".")]
-        if hits:
-            frozen.update(hits)
-        else:
-            params[name] = p
-    for f in freeze:
-        if f not in frozen:
-            raise ValidationError(
-                f"freeze entry {f!r} names no model parameter")
-    return params
+    params = dict(model.named_parameters())
+    _check_freeze(params, freeze)
+    return {name: p for name, p in params.items()
+            if not any(_freezes(f, name) for f in freeze)}
+
+
+def _parameter_names_at(model: AsrModel, depth: int) -> list[str]:
+    """The model's parameter names once its encoder has `depth` blocks;
+    growth gives the same names as an encoder built at that depth."""
+    grown = Encoder(replace(model.encoder.cfg, num_blocks=depth),
+                    model.encoder.vocab_size)
+    return ([name for name, _ in model.named_parameters()
+             if not _freezes("encoder", name)]
+            + [name for name, _ in grown.named_parameters("encoder")])
 
 
 def train_step(model: AsrModel, opt: AdamW, batch, features_by_id,
@@ -353,8 +369,10 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
     of the same plan and seed; training continues with the following
     stage on the model loaded from it, and `model` is not used.  A
     checkpoint whose seed, stage name or stage count does not fit this
-    plan and seed raises ValidationError.  Either way the trained model
-    is the result's `model`.
+    plan and seed raises ValidationError, and so does a freeze entry of
+    any stage still to run that names no parameter at that stage's
+    depth, before anything is written.  Either way the trained model is
+    the result's `model`.
     """
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
 
@@ -368,7 +386,12 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
         start_stage = int(state["completed_stages"])
         global_step = int(state["global_step"])
         _check_resume(resume_from, state, plan, seed)
-    else:
+    # every stage still to run is checked before the first one trains
+    names_at = {d: _parameter_names_at(model, d) for d in
+                {s.encoder_depth for s in plan.stages[start_stage:]}}
+    for stage in plan.stages[start_stage:]:
+        _check_freeze(names_at[stage.encoder_depth], stage.freeze)
+    if resume_from is None:
         # start at the first stage's depth; deeper stages grow later
         model.encoder.grow(plan.stages[0].encoder_depth)
         if os.path.exists(metrics_path):

@@ -121,16 +121,26 @@ def resolve_features(manifest_path: str, utt: Utterance) -> str:
 
 def validate_manifest(manifest_path: str,
                       vocab: Vocab | None = None) -> list[Utterance]:
-    """Load a manifest and verify frame counts, durations, and (with a
-    vocabulary) transcript coverage.  Raises ValidationError on the first
-    inconsistency."""
+    """Load a manifest of at least one utterance and verify frame
+    counts, one feature dimension across files, durations, and (with a
+    vocabulary) transcript coverage.  Raises ValidationError on the
+    first inconsistency."""
     utts = load_manifest(manifest_path)
+    if not utts:
+        raise ValidationError(f"manifest {manifest_path} has no utterances")
+    first = None
     for utt in utts:
         path = resolve_features(manifest_path, utt)
         if not os.path.isfile(path):
             raise ValidationError(
                 f"{utt.utt_id}: missing feature file {utt.features_path}")
-        t, _ = read_feature_header(path)
+        t, f = read_feature_header(path)
+        if first is None:
+            first = (utt.utt_id, f)
+        elif f != first[1]:
+            raise ValidationError(
+                f"{utt.utt_id}: {f} features per frame, but {first[0]} "
+                f"has {first[1]}")
         if t != utt.num_frames:
             raise ValidationError(
                 f"{utt.utt_id}: manifest says {utt.num_frames} frames, "

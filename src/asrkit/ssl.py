@@ -222,9 +222,8 @@ class Frontend(Module):
             idx = np.arange(cfg.mask_span, dtype=np.int64)
         sel = np.zeros((T_len, 1), dtype=frames.dtype)
         sel[idx] = 1.0
-        sel_t = T.constant(sel)
-        x = T.constant(frames)
-        masked = x * (1.0 - sel_t) + self.mask_emb * sel_t
+        masked = (T.constant(frames * (1.0 - sel))
+                  + self.mask_emb * T.constant(sel))
         return masked, idx
 
     def init_codebook(self, frame_pool: np.ndarray,
@@ -242,7 +241,8 @@ class Frontend(Module):
         self.codebook.data = book
 
     def ssl_loss(self, feat: AudioFeatures, rng: np.random.Generator):
-        """Masked-prediction + contrastive loss for one utterance.
+        """Masked-prediction + contrastive loss for one utterance, as a
+        graph whose primitives do not depend on how many frames are masked.
 
         Returns (loss Tensor, metrics dict).
         """
@@ -259,28 +259,28 @@ class Frontend(Module):
         mlm_logits = self.mlm_head(T.embedding(final, midx))
         loss_mlm = T.cross_entropy(mlm_logits, mcodes)
 
-        # contrastive: true code vector vs codes of other masked positions
+        # contrastive: the true code vs NUM_DISTRACTORS codes of other masked
+        # positions (of the codebook if one is masked).  A log-sum-exp over
+        # these candidates is one over the K codes plus log(count), so one
+        # product scores every row; the true codes' log counts are undone.
         cvecs = self.contrastive_head(T.embedding(tapped, midx))
-        scale = 1.0 / np.sqrt(cfg.input_dim)
-        rows = []
         n_masked = midx.size
-        for i in range(n_masked):
-            if n_masked > 1:
-                others = rng.choice(n_masked - 1, size=NUM_DISTRACTORS,
-                                    replace=True)
-                others[others >= i] += 1
-                cand_codes = np.concatenate([[mcodes[i]], mcodes[others]])
-            else:
-                cand_codes = np.concatenate(
-                    [[mcodes[i]],
-                     rng.integers(0, cfg.codebook_size,
-                                  size=NUM_DISTRACTORS)])
-            cand = T.constant(
-                self.codebook.data[cand_codes].T.astype(np.float32))
-            rows.append(T.matmul(cvecs[i:i + 1, :], cand) * scale)
-        con_logits = T.concat(rows, axis=0)
-        loss_con = T.cross_entropy(
-            con_logits, np.zeros(n_masked, dtype=np.int64))
+        if n_masked > 1:
+            others = rng.integers(0, n_masked - 1,
+                                  size=(n_masked, NUM_DISTRACTORS))
+            others += others >= np.arange(n_masked)[:, None]
+            distractors = mcodes[others]
+        else:
+            distractors = rng.integers(0, cfg.codebook_size,
+                                       size=(1, NUM_DISTRACTORS))
+        cand = np.concatenate([mcodes[:, None], distractors], axis=1)
+        counts = (cand[:, :, None] == np.arange(cfg.codebook_size)).sum(1)
+        with np.errstate(divide="ignore"):
+            log_counts = np.log(counts, dtype=np.float32)
+        book = self.codebook.data.T / np.float32(np.sqrt(cfg.input_dim))
+        con_logits = T.matmul(cvecs, T.constant(book)) + T.constant(log_counts)
+        loss_con = (T.cross_entropy(con_logits, mcodes)
+                    + float(log_counts[np.arange(n_masked), mcodes].mean()))
 
         loss = loss_con + loss_mlm
         metrics = {

@@ -9,10 +9,12 @@ from asrkit import tensor as T
 from asrkit.beam import BeamResult, Hypothesis, prefix_head
 from asrkit.ctc import (PrefixState, ctc_complete_logprob,
                         ctc_prefix_extend_all, ctc_prefix_initial)
-from asrkit.errors import GraphConstructionError
+from asrkit.errors import GraphConstructionError, ValidationError
 from asrkit.nn import Module, inference
 from asrkit.optim import BETA1, BETA2, EPS, warmup_inv_sqrt
 from asrkit.rng import rng_for
+from asrkit.ssl import (NUM_DISTRACTORS, masked_prediction_accuracy,
+                        quantize, span_mask_indices)
 from asrkit.tensor import Tensor
 from asrkit.vocab import Vocab
 
@@ -201,8 +203,7 @@ def full_beam_search(ctc_log_post: np.ndarray, decode_fn, vocab: Vocab, cfg,
                 ctc_state=None,
                 att_logprob=hyp.att_logprob + float(att_next[eos]),
                 ctc_logprob=ctc_complete_logprob(hyp.ctc_state),
-                lambda_ctc=cfg.lambda_ctc,
-                finished=True))
+                lambda_ctc=cfg.lambda_ctc))
         extensions.sort(key=Hypothesis.sort_key)
         live = extensions[: cfg.beam_size]
     finished.sort(key=Hypothesis.sort_key)
@@ -530,3 +531,81 @@ def two_walk_modules(module):
     yield module
     for value in module.__dict__.values():
         yield from _modules_in(value)
+
+
+# -- the per-frame contrastive loop Frontend.ssl_loss replaced ---------------
+#
+# Frontend.apply_span_mask and Frontend.ssl_loss as they were, with `self`
+# renamed: the masked input as five primitives, and one slice, (1 x 5)
+# matmul and scale per masked frame joined by a concat.  The one-product
+# form draws the same distractors and must agree with this to rounding.
+
+
+def per_frame_apply_span_mask(frontend, frames: np.ndarray,
+                              rng: np.random.Generator):
+    cfg = frontend.cfg
+    T_len = frames.shape[0]
+    if T_len < cfg.mask_span:
+        raise ValidationError(
+            f"need at least mask_span={cfg.mask_span} frames, "
+            f"got {T_len}")
+    idx = span_mask_indices(T_len, rng, cfg.mask_prob, cfg.mask_span)
+    if idx.size == 0:
+        idx = span_mask_indices(T_len, rng, cfg.mask_prob, cfg.mask_span)
+    if idx.size == 0:
+        idx = np.arange(cfg.mask_span, dtype=np.int64)
+    sel = np.zeros((T_len, 1), dtype=frames.dtype)
+    sel[idx] = 1.0
+    sel_t = T.constant(sel)
+    x = T.constant(frames)
+    masked = x * (1.0 - sel_t) + frontend.mask_emb * sel_t
+    return masked, idx
+
+
+def per_frame_ssl_loss(frontend, feat, rng: np.random.Generator):
+    cfg = frontend.cfg
+    frames = feat.frames
+    masked_x, midx = per_frame_apply_span_mask(frontend, frames, rng)
+    codes = quantize(frames, frontend.codebook.data)
+    mcodes = codes[midx]
+
+    final, tapped = frontend.forward_latent(
+        masked_x, tap=cfg.contrastive_tap_block)
+
+    # masked prediction: classify the code id from the final block
+    mlm_logits = frontend.mlm_head(T.embedding(final, midx))
+    loss_mlm = T.cross_entropy(mlm_logits, mcodes)
+
+    # contrastive: true code vector vs codes of other masked positions
+    cvecs = frontend.contrastive_head(T.embedding(tapped, midx))
+    scale = 1.0 / np.sqrt(cfg.input_dim)
+    rows = []
+    n_masked = midx.size
+    for i in range(n_masked):
+        if n_masked > 1:
+            others = rng.choice(n_masked - 1, size=NUM_DISTRACTORS,
+                                replace=True)
+            others[others >= i] += 1
+            cand_codes = np.concatenate([[mcodes[i]], mcodes[others]])
+        else:
+            cand_codes = np.concatenate(
+                [[mcodes[i]],
+                 rng.integers(0, cfg.codebook_size,
+                              size=NUM_DISTRACTORS)])
+        cand = T.constant(
+            frontend.codebook.data[cand_codes].T.astype(np.float32))
+        rows.append(T.matmul(cvecs[i:i + 1, :], cand) * scale)
+    con_logits = T.concat(rows, axis=0)
+    loss_con = T.cross_entropy(
+        con_logits, np.zeros(n_masked, dtype=np.int64))
+
+    loss = loss_con + loss_mlm
+    metrics = {
+        "loss_mlm": loss_mlm.item(),
+        "loss_contrastive": loss_con.item(),
+        "masked_frames": n_masked,
+        "masked_fraction": n_masked / frames.shape[0],
+        "mlm_accuracy": masked_prediction_accuracy(
+            mlm_logits.data, mcodes),
+    }
+    return loss, metrics

@@ -360,6 +360,85 @@ def test_train_resume_with_another_seed_exits_1(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def corpus_with_one_wider_file(pipeline, tmp_path):
+    """A copy of the corpus whose last feature file has 10 dimensions
+    per frame instead of 8, its frame count unchanged."""
+    from asrkit.data import (load_manifest, read_feature_file,
+                             resolve_features, write_feature_file)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    manifest = str(corpus / "manifest.jsonl")
+    last = load_manifest(manifest)[-1]
+    path = resolve_features(manifest, last)
+    frames = read_feature_file(path)
+    write_feature_file(path, np.zeros((frames.shape[0], 10), np.float32))
+    return manifest, last.utt_id
+
+
+def test_pretrain_with_mixed_feature_dimensions_exits_1(pipeline, tmp_path,
+                                                        capsys):
+    manifest, utt_id = corpus_with_one_wider_file(pipeline, tmp_path)
+    out = tmp_path / "fe"
+    assert main(["pretrain", "--manifest", manifest, "--out-dir", str(out),
+                 "--steps", "2", "--hidden-dim", "16", "--num-blocks", "1",
+                 "--codebook-size", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and utt_id in err
+    assert "10" in err and "8" in err
+    assert not out.exists()
+
+
+def test_train_with_mixed_feature_dimensions_exits_1(pipeline, tmp_path,
+                                                     capsys):
+    manifest, utt_id = corpus_with_one_wider_file(pipeline, tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", manifest,
+                 "--vocab", pipeline["vocab"], "--out-dir", str(out),
+                 "--stage-plan", pipeline["plan"], "--hidden-dim", "16",
+                 "--decoder-layers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and utt_id in err
+    assert not out.exists()
+
+
+def test_train_with_a_frontend_of_another_input_dim_exits_1(pipeline,
+                                                            tmp_path,
+                                                            capsys):
+    from asrkit.ssl import Frontend, SslConfig, save_frontend
+    fe_dir = tmp_path / "fe10"
+    save_frontend(str(fe_dir), Frontend(SslConfig(
+        input_dim=10, hidden_dim=16, num_blocks=1, codebook_size=4)))
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", pipeline["manifest"],
+                 "--vocab", pipeline["vocab"], "--out-dir", str(out),
+                 "--stage-plan", pipeline["plan"], "--hidden-dim", "16",
+                 "--decoder-layers", "1", "--frontend", str(fe_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(fe_dir) in err
+    assert "8" in err and "10" in err
+    assert not out.exists()
+
+
+def test_train_checks_every_stage_freeze_before_training(pipeline,
+                                                         tmp_path, capsys):
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[stage1]\ndepth = 2\nsteps = 3\nwarmup = 2\n\n"
+                    "[stage2]\ndepth = 3\nsteps = 3\nwarmup = 2\n"
+                    "freeze = frontend, encodr\n\n"
+                    "[stage3]\ndepth = 3\nsteps = 3\nwarmup = 2\n"
+                    "freeze = none\n")
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", pipeline["manifest"],
+                 "--vocab", pipeline["vocab"], "--out-dir", str(out),
+                 "--stage-plan", str(plan), "--hidden-dim", "16",
+                 "--decoder-layers", "1", "--frontend",
+                 pipeline["frontend"], "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'encodr'" in err
+    assert not (out / "stage1").exists()
+    assert not (out / "metrics.jsonl").exists()
+
+
 def test_pretrain_writes_a_nan_metric_as_null(pipeline, tmp_path,
                                               monkeypatch):
     from asrkit import ssl

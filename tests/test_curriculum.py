@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from asrkit import serialization
+from asrkit import curriculum, serialization
 from asrkit.curriculum import (PAPER_DEPTHS, TOY_DEPTHS, CurriculumResult,
                                  Stage, StagePlan, build_stage_plan,
                                  filter_corpus, load_stage_plan, make_buckets,
@@ -271,6 +271,40 @@ def two_stage_plan(steps=4):
         Stage(name="b", encoder_depth=3, languages=None, steps=steps,
               freeze=(), peak_lr=1e-3, warmup=2),
     ), batch_max_frames=300)
+
+
+def three_stage_plan(middle_freeze):
+    return StagePlan(stages=(
+        Stage(name="a", encoder_depth=2, languages=None, steps=2,
+              peak_lr=1e-3, warmup=1),
+        Stage(name="b", encoder_depth=3, languages=None, steps=2,
+              freeze=middle_freeze, peak_lr=1e-3, warmup=1),
+        Stage(name="c", encoder_depth=3, languages=None, steps=2,
+              freeze=(), peak_lr=1e-3, warmup=1),
+    ), batch_max_frames=300)
+
+
+def test_every_stage_freeze_is_checked_at_its_depth_before_training(
+        toy_corpus, tmp_path):
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    utts = toy_corpus["train"][:2]
+    manifest = toy_corpus["train_manifest"]
+    # encoder.blocks.2 exists only once stage b has grown the encoder
+    grown = run_curriculum(
+        small_model(vocab), utts, manifest,
+        three_stage_plan(("frontend", "encoder.blocks.2")), seed=3,
+        out_dir=str(tmp_path / "grown"))
+    assert len(grown.checkpoint_dirs) == 3
+    # growth gives the names of an encoder built at the grown depth
+    assert (sorted(curriculum._parameter_names_at(small_model(vocab), 3))
+            == sorted(dict(grown.model.named_parameters())))
+    typo = three_stage_plan(("frontend", "encodr"))
+    for resume_from in (None, grown.checkpoint_dirs[0]):
+        out = tmp_path / f"typo-{resume_from is None}"
+        with pytest.raises(ValidationError, match="'encodr'"):
+            run_curriculum(small_model(vocab), utts, manifest, typo,
+                           seed=3, out_dir=str(out), resume_from=resume_from)
+        assert not out.exists()
 
 
 def test_frozen_frontend_holds_still_until_the_last_stage(toy_corpus,

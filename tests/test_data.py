@@ -117,6 +117,13 @@ def test_frame_count_mismatch_rejected(tmp_path):
         validate_manifest(manifest)
 
 
+def test_an_empty_manifest_is_rejected(tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("")
+    with pytest.raises(ValidationError, match="no utterances"):
+        validate_manifest(str(manifest))
+
+
 def test_transcript_outside_charset_rejected(tmp_path):
     manifest, vocab_path, _ = gen_synthetic_corpus(small_spec(seed=8),
                                                    str(tmp_path))

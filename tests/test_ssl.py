@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from oracles import per_frame_ssl_loss
 
 from asrkit import tensor as T
 from asrkit.data import char_template
 from asrkit.errors import ValidationError
 from asrkit.rng import rng_for
-from asrkit.ssl import (AudioFeatures, Frontend, SslConfig,
+from asrkit.ssl import (NUM_DISTRACTORS, AudioFeatures, Frontend, SslConfig,
                           eval_masked_accuracy, masked_prediction_accuracy,
                           pretrain, quantize, span_mask_indices)
 
@@ -121,6 +122,57 @@ def test_ssl_loss_reaches_mask_embedding():
     assert np.any(fe.mask_emb.grad != 0)
     assert metrics["masked_frames"] >= 1
     assert 0.0 <= metrics["mlm_accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("mask_span", [4, 1])
+def test_one_product_contrastive_loss_matches_the_per_frame_loop(mask_span):
+    fe = small_frontend(mask_span=mask_span, mask_prob=0.15)
+    params = dict(fe.named_parameters("frontend"))
+    data_rng = np.random.default_rng(20 + mask_span)
+    seen = set()
+    for case in range(40):
+        utt = rand_utt(data_rng, t=int(data_rng.integers(4, 40)))
+        runs = []
+        for ssl_loss in (per_frame_ssl_loss, Frontend.ssl_loss):
+            rng = np.random.default_rng(case)
+            loss, metrics = ssl_loss(fe, utt, rng)
+            fe.zero_grad()
+            T.backward(loss)
+            runs.append((rng.bit_generator.state, loss.item(), metrics,
+                         {n: p.grad.copy() for n, p in params.items()}))
+        (state_a, loss_a, m_a, g_a), (state_b, loss_b, m_b, g_b) = runs
+        assert state_a == state_b  # the same draws
+        assert m_a["loss_mlm"] == m_b["loss_mlm"]
+        assert m_a["masked_frames"] == m_b["masked_frames"]
+        assert loss_b == pytest.approx(loss_a, rel=1e-6)
+        # wk.bias gradients are zero in exact math: one global scale
+        scale = max(float(np.abs(g).max()) for g in g_a.values())
+        for name in g_a:
+            assert np.abs(g_b[name] - g_a[name]).max() <= 1e-5 * scale, name
+        seen.add(m_a["masked_frames"])
+    assert max(seen) > 1 + NUM_DISTRACTORS
+    if mask_span == 1:  # the branch that draws distractors from the codebook
+        assert 1 in seen
+
+
+def test_ssl_loss_primitives_do_not_depend_on_the_masked_count(monkeypatch):
+    calls = []
+    record = T.apply_primitive
+
+    def counting(name, *args):
+        calls.append(name)
+        return record(name, *args)
+
+    monkeypatch.setattr(T, "apply_primitive", counting)
+    counts = {}
+    for t, prob in ((8, 1e-6), (12, 0.2), (60, 0.9)):
+        fe = small_frontend(mask_span=1, mask_prob=prob)
+        calls.clear()
+        _, metrics = fe.ssl_loss(rand_utt(np.random.default_rng(t), t=t),
+                                 np.random.default_rng(0))
+        counts[metrics["masked_frames"]] = len(calls)
+    assert len(counts) == 3 and min(counts) == 1 and max(counts) > 40
+    assert len(set(counts.values())) == 1, counts
 
 
 def test_codebook_is_not_a_parameter():
