@@ -60,10 +60,13 @@ def ctc_losses(log_posts: list[Tensor], labels) -> list[Tensor]:
 
 
 def _ctc_record(log_post: Tensor, loss_val, grad: np.ndarray) -> Tensor:
+    # the rule keeps the gradient in the posterior's dtype, not the
+    # posterior itself
     out = np.asarray(loss_val, dtype=log_post.dtype)
+    grad = grad.astype(log_post.dtype, copy=False)
 
     def bwd(g):
-        return (g * grad.astype(log_post.dtype, copy=False),)
+        return (g * grad,)
 
     return apply_primitive("ctc_loss", (log_post,), out, bwd)
 

@@ -152,7 +152,8 @@ def load_model(directory: str) -> tuple[AsrModel, dict | None]:
     vocab = serialization.load_json_as(directory, serialization.VOCAB_FILE,
                                        Vocab.from_dict)
     model = AsrModel(cfg, vocab)
-    model.load_state(serialization.load_arrays(directory))
+    model.load_state(serialization.load_arrays(directory,
+                                               check=model.check_state))
     train_state = None
     if os.path.isfile(os.path.join(directory, serialization.STATE_FILE)):
         train_state = serialization.load_json(directory,

@@ -94,21 +94,27 @@ class Module:
         must match; otherwise CheckpointError names the offending arrays
         and nothing is copied.
         """
+        self.check_state({name: a.shape for name, a in arrays.items()})
+        for name, t in self.walk():
+            if isinstance(t, Tensor):
+                t.data = arrays[name].astype(t.dtype, copy=True)
+
+    def check_state(self, shapes: dict[str, tuple]) -> None:
+        """Raise CheckpointError naming every fault unless shapes, a
+        name -> shape map, has exactly named_state()'s names and shapes."""
         tensors = {name: item for name, item in self.walk()
                    if isinstance(item, Tensor)}
         faults = [f"missing {name}"
-                  for name in sorted(tensors.keys() - arrays.keys())]
+                  for name in sorted(tensors.keys() - shapes.keys())]
         faults += [f"unexpected {name}"
-                   for name in sorted(arrays.keys() - tensors.keys())]
-        faults += [f"shape mismatch loading {name}: {arrays[name].shape} "
+                   for name in sorted(shapes.keys() - tensors.keys())]
+        faults += [f"shape mismatch loading {name}: {shapes[name]} "
                    f"vs {t.shape}"
                    for name, t in tensors.items()
-                   if name in arrays and arrays[name].shape != t.shape]
+                   if name in shapes and tuple(shapes[name]) != t.shape]
         if faults:
             raise CheckpointError("state does not match the model: "
                                   + "; ".join(faults))
-        for name, t in tensors.items():
-            t.data = arrays[name].astype(t.dtype, copy=True)
 
     def zero_grad(self):
         for _, p in self.named_parameters():

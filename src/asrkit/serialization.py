@@ -13,7 +13,12 @@ Round-tripping an array dict through save/load is bit-exact.  An
 index.json without its "arrays" object, or an entry with a field that
 is missing or bad (an unknown dtype code, a shape that is not a list of
 ints >= 0, an offset that is not an int >= 0), raises CheckpointError
-naming the array and the field.
+naming the array and the field.  The index's byte ranges must tile
+params.bin exactly, as save_arrays writes them: in offset order each
+array starts where the previous one ended, and the last ends at the
+file's end.  Otherwise CheckpointError names the first array out of
+place or the trailing bytes, so a params.bin that belongs to another
+index does not load.
 """
 
 import json
@@ -99,7 +104,10 @@ def load_index(directory: str) -> dict[str, dict]:
     return index
 
 
-def load_arrays(directory: str) -> dict[str, np.ndarray]:
+def load_arrays(directory: str, check=None) -> dict[str, np.ndarray]:
+    """The checkpoint's arrays by name.  check, when given, is called
+    with the index's {name: shape} map before params.bin is read, so
+    that a caller's fault, such as a missing array, is named first."""
     index_path = os.path.join(directory, INDEX_FILE)
     params_path = os.path.join(directory, PARAMS_FILE)
     if not os.path.isfile(index_path) or not os.path.isfile(params_path):
@@ -107,19 +115,33 @@ def load_arrays(directory: str) -> dict[str, np.ndarray]:
             f"{directory!r} is not a checkpoint directory "
             f"(missing {INDEX_FILE} or {PARAMS_FILE})")
     index = load_index(directory)
+    if check is not None:
+        check({name: tuple(meta["shape"]) for name, meta in index.items()})
     with open(params_path, "rb") as fh:
         blob = fh.read()
     out = {}
-    for name, meta in index.items():
+    end = 0
+    # offset order; a zero-size array sorts before the array that shares
+    # its offset
+    for name, meta in sorted(index.items(), key=lambda item: (
+            item[1]["offset"], math.prod(item[1]["shape"]))):
         dtype = _DTYPES[meta["dtype"]]
         shape = tuple(meta["shape"])
         start = meta["offset"]
+        if start != end:
+            raise CheckpointError(
+                f"array {name!r} starts at byte {start} of {PARAMS_FILE}, "
+                f"not where the previous array ends ({end})")
         end = start + math.prod(shape) * dtype.itemsize
         if end > len(blob):
             raise CheckpointError(
                 f"array {name!r} extends past the end of {PARAMS_FILE}")
         out[name] = np.frombuffer(
             blob[start:end], dtype=dtype).reshape(shape).copy()
+    if end != len(blob):
+        raise CheckpointError(
+            f"{PARAMS_FILE} has {len(blob) - end} trailing bytes past the "
+            f"last array of {INDEX_FILE}")
     return out
 
 

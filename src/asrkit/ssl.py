@@ -347,7 +347,8 @@ def load_frontend(directory: str) -> Frontend:
         lambda payload: (SslConfig(**payload["frontend"]),
                          int(payload.get("seed", 0))))
     frontend = Frontend(cfg, seed=seed)
-    frontend.load_state(serialization.load_arrays(directory))
+    frontend.load_state(serialization.load_arrays(
+        directory, check=frontend.check_state))
     return frontend
 
 

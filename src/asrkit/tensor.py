@@ -3,16 +3,22 @@
 Design notes:
   * Storage is a row-major numpy array, float32 for training and float64
     for numerical-oracle tests; ops preserve the input dtype.
-  * The graph is built from per-output op records (op name, inputs,
-    backward rule).  backward() computes a depth-first postorder from the
-    loss, which is a topological order, and visits each node exactly once.
+  * The graph is built from per-output op records (op name, output dtype
+    and shape, backward rule, and for each input either the input's own
+    record, the input itself when it is a leaf that requires grad, or
+    None).  Records link to records, not to tensors, so the graph holds
+    only records, leaves and the arrays the backward rules capture: an
+    intermediate array no rule reads is freed once the caller drops its
+    Tensor.  backward() computes a depth-first postorder from the loss,
+    which is a topological order, and visits each node exactly once.
   * Gradients land in .grad on leaves only (tensors with no op record,
     i.e. parameters and inputs); intermediate results pass their
     gradient on and keep .grad None.  A leaf accumulates additively, so
     two backward passes over two graphs without zero_grad add up.
-  * backward consumes the graph: each op record is released once its
-    rule has run, so saved buffers are freed as the pass goes.  A second
-    backward through the same graph raises GraphConstructionError.
+  * backward consumes the graph: each op record drops its rule and its
+    inputs once the rule has run, so saved buffers are freed as the pass
+    goes.  A second backward through the same graph raises
+    GraphConstructionError.
   * Only registered primitives may appear in a graph; attempting to
     record an unregistered op raises GraphConstructionError.  Other
     modules may register their own ops (the CTC loss does).
@@ -66,18 +72,19 @@ def no_grad():
 
 
 class _OpRecord:
-    """One applied primitive: inputs and the backward rule for its output."""
+    """One applied primitive: the backward rule for its output, the
+    output's dtype and shape, and one link per input: the input's own
+    record, the input itself when it is a leaf that requires grad, or
+    None.  backward() empties rule and links once the rule has run."""
 
-    __slots__ = ("op", "inputs", "backward")
+    __slots__ = ("op", "inputs", "backward", "dtype", "shape")
 
-    def __init__(self, op, inputs, backward):
+    def __init__(self, op, inputs, backward, dtype, shape):
         self.op = op
         self.inputs = inputs
         self.backward = backward
-
-
-# stands in for the op record of a node whose backward rule has run
-_CONSUMED = _OpRecord("consumed", (), None)
+        self.dtype = dtype
+        self.shape = shape
 
 
 class Tensor:
@@ -174,7 +181,12 @@ def apply_primitive(name, inputs, out_data, backward) -> Tensor:
     needs = _grad_enabled() and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        out._entry = _OpRecord(name, tuple(inputs), backward)
+        links = tuple(
+            t._entry if t._entry is not None
+            else t if t.requires_grad else None
+            for t in inputs)
+        out._entry = _OpRecord(name, links, backward, out.data.dtype,
+                               out.data.shape)
     return out
 
 
@@ -182,9 +194,9 @@ def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dx into .grad for every requires_grad leaf
     reachable from the scalar loss, consuming the graph.
 
-    Intermediate tensors keep .grad None.  Each op record is replaced by
-    a sentinel once its rule has run, which frees the buffers it saved;
-    a later backward that reaches a consumed node raises
+    Intermediate tensors keep .grad None.  Each op record drops its rule
+    and its input links once the rule has run, which frees the buffers
+    it saved; a later backward that reaches a consumed record raises
     GraphConstructionError before any gradient changes.
     """
     if loss.data.size != 1:
@@ -193,11 +205,13 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise GraphConstructionError(
             "loss does not require grad; it is not connected to any parameters")
+    root = loss if loss._entry is None else loss._entry
 
-    # Depth-first postorder over the op graph (iterative: graphs get deep).
-    topo: list[Tensor] = []
+    # Depth-first postorder over op records and leaves (iterative: graphs
+    # get deep).
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -206,41 +220,41 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        entry = node._entry
-        if entry is _CONSUMED:
-            raise GraphConstructionError(
-                "graph already consumed by an earlier backward; "
-                "run the forward pass again")
         stack.append((node, True))
-        if entry is not None:
-            for parent in entry.inputs:
-                if id(parent) not in seen and parent.requires_grad:
+        if type(node) is _OpRecord:
+            if node.backward is None:
+                raise GraphConstructionError(
+                    "graph already consumed by an earlier backward; "
+                    "run the forward pass again")
+            for parent in node.inputs:
+                if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
 
-    messages: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data)}
-    # popping drops topo's reference, so a node whose consumers have all
-    # run is freed along with its record
+    messages: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    # popping drops topo's reference, so a record whose consumers have
+    # all run is freed unless its output tensor is still held
     while topo:
         node = topo.pop()
         g = messages.pop(id(node), None)
-        entry = node._entry
-        if entry is None:
+        if type(node) is not _OpRecord:
             if g is not None:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        node._entry = _CONSUMED
+        rule, inputs = node.backward, node.inputs
+        node.backward, node.inputs = None, ()
         if g is None:
             continue
-        grads_in = entry.backward(g)
-        for parent, gi in zip(entry.inputs, grads_in):
-            if gi is None or not parent.requires_grad:
+        for parent, gi in zip(inputs, rule(g)):
+            if gi is None or parent is None:
                 continue
-            dtype = parent.data.dtype
+            if type(parent) is _OpRecord:
+                dtype, shape = parent.dtype, parent.shape
+            else:
+                dtype, shape = parent.data.dtype, parent.data.shape
             if type(gi) is not np.ndarray or gi.dtype != dtype:
                 gi = np.asarray(gi, dtype=dtype)
-            if gi.shape != parent.data.shape:
-                gi = gi.reshape(parent.data.shape)
+            if gi.shape != shape:
+                gi = gi.reshape(shape)
             acc = messages.get(id(parent))
             messages[id(parent)] = gi if acc is None else acc + gi
 
@@ -320,9 +334,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if np.isnan(x.data).any():
+    m = np.max(x.data, axis=axis, keepdims=True)
+    # a NaN input makes its row maximum NaN
+    if np.isnan(m).any():
         raise FloatingPointError("softmax input contains NaN")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    shifted = x.data - m
     e = np.exp(shifted)
     out = e / np.sum(e, axis=axis, keepdims=True)
 
@@ -334,9 +350,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if np.isnan(x.data).any():
-        raise FloatingPointError("log_softmax input contains NaN")
     m = np.max(x.data, axis=axis, keepdims=True)
+    # a NaN input makes its row maximum NaN
+    if np.isnan(m).any():
+        raise FloatingPointError("log_softmax input contains NaN")
     shifted = x.data - m
     lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
     out = shifted - lse
@@ -395,20 +412,23 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             f"conv1d shape mismatch: x {x.shape}, w {w.shape}")
     T, cin = x.shape
     K, _, cout = w.shape
-    out_len, pl, pr = _same_pad(T, K, stride)
-    xp = np.zeros((T + pl + pr, cin), dtype=x.dtype)
-    xp[pl:pl + T] = x.data
-    idx = np.arange(out_len) * stride
-    windows = np.stack([xp[idx + k] for k in range(K)], axis=1)  # (out, K, cin)
-    out = np.tensordot(windows, w.data, axes=([1, 2], [0, 1]))
     if bias.shape != (cout,):
         raise GraphConstructionError(
             f"conv1d bias shape mismatch: {bias.shape} for Cout={cout}")
-    out = out + bias.data
+    out_len, pl, pr = _same_pad(T, K, stride)
+    xp = np.zeros((T + pl + pr, cin), dtype=x.dtype)
+    xp[pl:pl + T] = x.data
+    windows = _windows(xp, out_len, K, stride)  # (out, K, cin)
+    out = np.tensordot(windows, w.data, axes=([1, 2], [0, 1])) + bias.data
     wd = w.data
+    idx = np.arange(out_len) * stride
 
     def bwd(g):
-        gw = np.tensordot(windows, g, axes=([0], [0]))  # (K, cin, cout)
+        # (K, cin, cout) from a C-ordered copy of the windows: over the
+        # strided view, numpy would hand BLAS another layout, which sums
+        # in another order
+        gw = np.tensordot(np.ascontiguousarray(windows), g,
+                          axes=([0], [0]))
         gxp = np.zeros_like(xp)
         for k in range(K):
             np.add.at(gxp, idx + k, g @ wd[k].T)
@@ -417,40 +437,44 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     return apply_primitive("conv1d", (x, w, bias), out, bwd)
 
 
-def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Per-channel 1-D convolution, stride 1, same-padding.
 
-    Weight layout is (kernel, C).
+    Weight layout is (kernel, C); bias is (C,).
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise GraphConstructionError(
             f"depthwise_conv1d shape mismatch: x {x.shape}, w {w.shape}")
     T, C = x.shape
     K = w.shape[0]
+    if bias.shape != (C,):
+        raise GraphConstructionError(
+            f"depthwise_conv1d bias shape mismatch: {bias.shape} for C={C}")
     _, pl, pr = _same_pad(T, K, 1)
     xp = np.zeros((T + pl + pr, C), dtype=x.dtype)
     xp[pl:pl + T] = x.data
-    windows = np.stack([xp[k:k + T] for k in range(K)], axis=1)  # (T, K, C)
-    out = np.einsum("tkc,kc->tc", windows, w.data)
-    if bias is not None:
-        if bias.shape != (C,):
-            raise GraphConstructionError(
-                f"depthwise_conv1d bias shape mismatch: {bias.shape} for C={C}")
-        out = out + bias.data
-    inputs = (x, w) if bias is None else (x, w, bias)
+    windows = _windows(xp, T, K, 1)  # (T, K, C)
+    out = np.einsum("tkc,kc->tc", windows, w.data) + bias.data
     wd = w.data
 
     def bwd(g):
-        gw = np.einsum("tkc,tc->kc", windows, g)
+        # a C-ordered copy of the windows keeps einsum's summation order
+        gw = np.einsum("tkc,tc->kc", np.ascontiguousarray(windows), g)
         gxp = np.zeros_like(xp)
         for k in range(K):
             gxp[k:k + T] += g * wd[k]
-        gx = gxp[pl:pl + T]
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=0)
+        return gxp[pl:pl + T], gw, g.sum(axis=0)
 
-    return apply_primitive("depthwise_conv1d", inputs, out, bwd)
+    return apply_primitive("depthwise_conv1d", (x, w, bias), out, bwd)
+
+
+def _windows(xp: np.ndarray, n: int, kernel: int, stride: int) -> np.ndarray:
+    """The read-only (n, kernel, C) view m[t, k] = xp[t * stride + k] of
+    a padded (T, C) array: every convolution window without a copy."""
+    step, chan = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, shape=(n, kernel, xp.shape[1]),
+        strides=(stride * step, step, chan), writeable=False)
 
 
 def glu(x: Tensor, axis: int = -1) -> Tensor:
@@ -648,8 +672,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     scale = np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
     scores = np.matmul(qh, kt) * scale
     inputs = (q, k, v)
+    rows = 0  # relative bias table rows, 0 without a table
     if rel_table is not None:
-        radius = (rel_table.shape[0] - 1) // 2
+        rows = rel_table.shape[0]
+        radius = (rows - 1) // 2
         if rel_table.shape != (2 * radius + 1, heads):
             raise GraphConstructionError(
                 f"relative bias table {rel_table.shape} for {heads} heads")
@@ -696,12 +722,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         gkt = np.matmul(qh.transpose(0, 2, 1), gsc)
         grads = (merge_heads(gq), merge_heads(gkt.transpose(0, 2, 1)),
                  merge_heads(gv))
-        if rel_table is None:
+        if not rows:
             return grads
         # one np.add.at over (head, offset) bins sums each bias entry's
         # scores in row order and in the table's dtype, as the per-head
         # embedding gather did; np.bincount would sum in float64
-        rows = rel_table.shape[0]
         bins = _toeplitz(offset_ids, tq) + rows * np.arange(heads)[:, None, None]
         gt = np.zeros(heads * rows, dtype=gs.dtype)
         np.add.at(gt, bins.ravel(), gs.ravel())

@@ -386,21 +386,23 @@ def gather_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return T.apply_primitive("attention", inputs, out, bwd)
 
 
-def store_every_grad_backward(loss) -> None:
-    """Backward that stores a .grad copy on every node and keeps the
-    graph: the reference for tensor.backward, which writes .grad on
-    leaves only and consumes the graph, and must give every leaf the
-    same bytes."""
+def store_every_grad_backward(loss) -> dict:
+    """Backward that keeps the graph and a gradient copy for every op
+    record, returned as {record: gradient}: the reference for
+    tensor.backward, which writes .grad on leaves only and consumes the
+    graph, and must give every leaf the same bytes.  It walks records
+    and leaves in the engine's order, so every sum runs in that order."""
     if loss.data.size != 1:
         raise GraphConstructionError(
             f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise GraphConstructionError(
             "loss does not require grad; it is not connected to any parameters")
+    root = loss if loss._entry is None else loss._entry
 
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -410,32 +412,80 @@ def store_every_grad_backward(loss) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        if node._entry is not None:
-            for parent in node._entry.inputs:
-                if id(parent) not in seen and parent.requires_grad:
+        if isinstance(node, T._OpRecord):
+            for parent in node.inputs:
+                if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
 
-    messages = {id(loss): np.ones_like(loss.data)}
+    stored = {}
+    messages = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = messages.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
-        entry = node._entry
-        if entry is None:
+        if not isinstance(node, T._OpRecord):
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        grads_in = entry.backward(g)
-        for parent, gi in zip(entry.inputs, grads_in):
-            if gi is None or not parent.requires_grad:
+        stored[node] = g.copy()
+        for parent, gi in zip(node.inputs, node.backward(g)):
+            if gi is None or parent is None:
                 continue
-            gi = np.asarray(gi, dtype=parent.data.dtype)
-            if gi.shape != parent.data.shape:
-                gi = gi.reshape(parent.data.shape)
+            if isinstance(parent, T._OpRecord):
+                dtype, shape = parent.dtype, parent.shape
+            else:
+                dtype, shape = parent.data.dtype, parent.data.shape
+            gi = np.asarray(gi, dtype=dtype)
+            if gi.shape != shape:
+                gi = gi.reshape(shape)
             acc = messages.get(id(parent))
             messages[id(parent)] = gi if acc is None else acc + gi
+    return stored
+
+
+def stacked_conv1d(x: Tensor, w: Tensor, bias: Tensor,
+                   stride: int = 1) -> Tensor:
+    """tensor.conv1d as it was before the strided windows: the windows
+    are an np.stack copy, which backward keeps."""
+    T_, cin = x.shape
+    K, _, cout = w.shape
+    out_len, pl, pr = T._same_pad(T_, K, stride)
+    xp = np.zeros((T_ + pl + pr, cin), dtype=x.dtype)
+    xp[pl:pl + T_] = x.data
+    idx = np.arange(out_len) * stride
+    windows = np.stack([xp[idx + k] for k in range(K)], axis=1)
+    out = np.tensordot(windows, w.data, axes=([1, 2], [0, 1])) + bias.data
+    wd = w.data
+
+    def bwd(g):
+        gw = np.tensordot(windows, g, axes=([0], [0]))
+        gxp = np.zeros_like(xp)
+        for k in range(K):
+            np.add.at(gxp, idx + k, g @ wd[k].T)
+        return gxp[pl:pl + T_], gw, g.sum(axis=0)
+
+    return T.apply_primitive("conv1d", (x, w, bias), out, bwd)
+
+
+def stacked_depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """tensor.depthwise_conv1d as it was before the strided windows: the
+    windows are an np.stack copy, which backward keeps."""
+    T_, C = x.shape
+    K = w.shape[0]
+    _, pl, pr = T._same_pad(T_, K, 1)
+    xp = np.zeros((T_ + pl + pr, C), dtype=x.dtype)
+    xp[pl:pl + T_] = x.data
+    windows = np.stack([xp[k:k + T_] for k in range(K)], axis=1)
+    out = np.einsum("tkc,kc->tc", windows, w.data) + bias.data
+    wd = w.data
+
+    def bwd(g):
+        gw = np.einsum("tkc,tc->kc", windows, g)
+        gxp = np.zeros_like(xp)
+        for k in range(K):
+            gxp[k:k + T_] += g * wd[k]
+        return gxp[pl:pl + T_], gw, g.sum(axis=0)
+
+    return T.apply_primitive("depthwise_conv1d", (x, w, bias), out, bwd)
 
 
 class PerParameterAdamW:

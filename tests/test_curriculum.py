@@ -384,15 +384,16 @@ def test_frozen_step_matches_the_in_graph_frontend_without_dropout(
 
 
 def graph_nodes(loss):
-    """Every tensor of loss's graph that has an op record."""
-    nodes, stack, seen = [], [loss], set()
+    """Every op record of loss's graph."""
+    from asrkit import tensor as T
+    nodes, stack, seen = [], [loss._entry], set()
     while stack:
         node = stack.pop()
-        if id(node) in seen or node._entry is None:
+        if not isinstance(node, T._OpRecord) or id(node) in seen:
             continue
         seen.add(id(node))
         nodes.append(node)
-        stack.extend(node._entry.inputs)
+        stack.extend(node.inputs)
     return nodes
 
 
@@ -418,19 +419,19 @@ def test_leaf_only_backward_matches_the_store_every_grad_engine(
                                      seed=7), vocab)
         model.encoder.grow(6)
         model.train()
-        inner = []
+        inner, stored = [], {}
 
         def recording(loss):
             inner.extend(graph_nodes(loss))
-            engine(loss)
+            stored.update(engine(loss) or {})
 
         monkeypatch.setattr(T, "backward", recording)
         opt = AdamW(trainable_parameters(model, ()), peak_lr=1e-3, warmup=1)
         train_step(model, opt, utts, feats, seed=3, stage_index=6, step=0)
-        return dict(model.named_parameters()), inner
+        return dict(model.named_parameters()), inner, stored
 
-    got, got_inner = run(T.backward)
-    want, want_inner = run(store_every_grad_backward)
+    got, got_inner, _ = run(T.backward)
+    want, want_inner, want_stored = run(store_every_grad_backward)
     assert got.keys() == want.keys()
     compared = set()
     for name, p in got.items():
@@ -442,8 +443,11 @@ def test_leaf_only_backward_matches_the_store_every_grad_engine(
         compared.add(name)
     assert {n for n in got if not n.startswith("frontend.")} <= compared
     assert len(got_inner) == len(want_inner) > 0
-    assert all(t.grad is None for t in got_inner)
-    assert all(t.grad is not None for t in want_inner)
+    # the engine empties every record it runs; the reference keeps every
+    # record and a gradient for each
+    assert all(r.backward is None and r.inputs == () for r in got_inner)
+    assert all(r.backward is not None for r in want_inner)
+    assert set(want_stored) == set(want_inner)
 
 
 def test_frozen_stages_extract_each_utterance_once(toy_corpus, tmp_path,

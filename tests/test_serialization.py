@@ -58,6 +58,65 @@ def test_truncated_blob_rejected(tmp_path):
         ser.load_arrays(str(tmp_path))
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    ser.save_arrays(str(tmp_path), {"w": np.ones(8, dtype=np.float64)})
+    blob = tmp_path / ser.PARAMS_FILE
+    blob.write_bytes(blob.read_bytes() + b"\0" * 4)
+    with pytest.raises(CheckpointError, match="4 trailing bytes"):
+        ser.load_arrays(str(tmp_path))
+
+
+def overlap_c_with_a(arrays):
+    arrays["c"]["offset"] -= 4
+
+
+def drop_a(arrays):
+    del arrays["a"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (overlap_c_with_a, "'c' starts at byte 4"),
+    (drop_a, "'b' starts at byte 8"),  # a gap where "a" was
+])
+def test_index_ranges_must_tile_the_params_file(tmp_path, edit, message):
+    arrays = {"a": np.ones(2, dtype=np.float32),
+              "b": np.zeros((0, 3), dtype=np.float64),
+              "c": np.arange(3, dtype=np.int64)}
+    ser.save_arrays(str(tmp_path), arrays)
+    # zero-size arrays share an offset with their successor and load
+    loaded = ser.load_arrays(str(tmp_path))
+    assert all(loaded[n].tobytes() == a.tobytes() for n, a in arrays.items())
+    index_path = tmp_path / ser.INDEX_FILE
+    index = json.load(open(index_path))
+    edit(index["arrays"])
+    json.dump(index, open(index_path, "w"))
+    with pytest.raises(CheckpointError, match=message):
+        ser.load_arrays(str(tmp_path))
+
+
+def test_a_params_file_of_another_checkpoint_does_not_load(tmp_path):
+    # a save into A that stopped after params.bin leaves A's index over
+    # B's bytes
+    from conftest import DECODER_CFG, ENCODER_CFG, FRONTEND_CFG
+    from oracles import tiny_vocab
+    from asrkit.decoder import DecoderConfig
+    from asrkit.encoder import EncoderConfig
+    from asrkit.model import AsrModel, ModelConfig, load_model, save_model
+    from asrkit.ssl import SslConfig
+    for name, depth in (("A", 2), ("B", 6)):
+        model = AsrModel(ModelConfig(frontend=SslConfig(**FRONTEND_CFG),
+                                     encoder=EncoderConfig(**ENCODER_CFG),
+                                     decoder=DecoderConfig(**DECODER_CFG),
+                                     seed=7), tiny_vocab())
+        model.encoder.grow(depth)
+        save_model(str(tmp_path / name), model)
+    load_model(str(tmp_path / "A"))
+    (tmp_path / "A" / ser.PARAMS_FILE).write_bytes(
+        (tmp_path / "B" / ser.PARAMS_FILE).read_bytes())
+    with pytest.raises(CheckpointError, match="trailing bytes"):
+        load_model(str(tmp_path / "A"))
+
+
 def test_missing_index_rejected(tmp_path):
     with pytest.raises(CheckpointError):
         ser.load_arrays(str(tmp_path))

@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from gradcheck import check_gradients
-from oracles import reshape, transpose
+from oracles import (reshape, stacked_conv1d, stacked_depthwise_conv1d,
+                     transpose)
+from test_attention import retained_bytes
 from asrkit import tensor as T
 from asrkit.errors import GraphConstructionError
 
@@ -179,9 +184,9 @@ def test_conv1d_gradients():
 def test_depthwise_conv1d_gradients():
     m = T.constant(r(6, 4))
 
-    def build(x, w):
-        return T.sum_(T.depthwise_conv1d(x, w) * m)
-    check_gradients(build, [r(6, 4), r(3, 4)], tol=1e-5)
+    def build(x, w, b):
+        return T.sum_(T.depthwise_conv1d(x, w, b) * m)
+    check_gradients(build, [r(6, 4), r(3, 4), r(4)], tol=1e-5)
 
 
 def test_embedding_gradients():
@@ -255,3 +260,88 @@ def test_softmax_rows_normalize():
     lp = T.log_softmax(T.constant(r(6, 9))).data
     np.testing.assert_allclose(np.exp(lp).sum(axis=1), np.ones(6),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("op", [T.softmax, T.log_softmax])
+def test_a_nan_in_one_row_raises(op):
+    x = np.arange(12.0).reshape(3, 4)
+    x[1, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="NaN"):
+        op(T.Tensor(x, requires_grad=True))
+
+
+def layer_norm_plus_input(x, gamma, beta, keep):
+    """sum(layer_norm(x) + x); drops the layer_norm output unless keep."""
+    h = T.layer_norm(x, gamma, beta)
+    held = weakref.ref(h.data)
+    loss = T.sum_(h + x)
+    kept = h if keep else None
+    del h
+    gc.collect()
+    return loss, held, kept
+
+
+def test_an_intermediate_no_rule_reads_is_freed_with_its_tensor():
+    # add's rule reads no input, so once the caller drops the
+    # layer_norm output its array goes, while the graph still runs
+    rng = np.random.default_rng(3)
+    arrays = [rng.normal(size=(5, 4)), rng.normal(size=4),
+              rng.normal(size=4)]
+    grads = []
+    for keep in (False, True):
+        x, gamma, beta = (T.Tensor(a, requires_grad=True) for a in arrays)
+        loss, held, kept = layer_norm_plus_input(x, gamma, beta, keep)
+        assert (held() is None) == (not keep)
+        T.backward(loss)
+        grads.append([t.grad.tobytes() for t in (x, gamma, beta)])
+    assert grads[0] == grads[1]
+
+
+def conv_outputs_and_grads(conv, arrays, seed, **kwargs):
+    inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = conv(*inputs, **kwargs)
+    weights = np.random.default_rng(seed).normal(size=out.shape)
+    T.backward(T.sum_(out * T.constant(weights.astype(out.dtype))))
+    return [out.data] + [t.grad for t in inputs]
+
+
+def test_strided_windows_match_the_stacked_convolutions():
+    rng = np.random.default_rng(20)
+    for trial in range(160):
+        dtype = (np.float32, np.float64)[trial % 2]
+        K = int(rng.integers(1, 8))
+        # every third trial is shorter than the kernel
+        t = int(rng.integers(1, K + 1)) if trial % 3 == 0 \
+            else int(rng.integers(1, 40))
+        cin, cout = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        x = rng.normal(size=(t, cin)).astype(dtype)
+        depthwise = [x, rng.normal(size=(K, cin)).astype(dtype),
+                     rng.normal(size=cin).astype(dtype)]
+        full = [x, rng.normal(size=(K, cin, cout)).astype(dtype),
+                rng.normal(size=cout).astype(dtype)]
+        cases = [(T.depthwise_conv1d, stacked_depthwise_conv1d, depthwise,
+                  {})]
+        cases += [(T.conv1d, stacked_conv1d, full, {"stride": stride})
+                  for stride in (1, 2)]
+        for conv, reference, arrays, kwargs in cases:
+            got = conv_outputs_and_grads(conv, arrays, trial, **kwargs)
+            want = conv_outputs_and_grads(reference, arrays, trial, **kwargs)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes(), (conv.__name__, t, K,
+                                                    kwargs)
+
+
+@pytest.mark.parametrize("conv,reference,wshape", [
+    (T.depthwise_conv1d, stacked_depthwise_conv1d, (7, 32)),
+    (T.conv1d, stacked_conv1d, (3, 32, 32)),
+])
+def test_convolutions_keep_a_view_of_the_windows(conv, reference, wshape):
+    # backward keeps the padded input, not a K-fold stack of windows
+    rng = np.random.default_rng(4)
+    x, w, b = (T.Tensor(rng.normal(size=shape).astype(np.float32),
+                        requires_grad=True)
+               for shape in ((240, 32), wshape, (32,)))
+    strided = retained_bytes(lambda: conv(x, w, b))
+    stacked = retained_bytes(lambda: reference(x, w, b))
+    assert 2 * strided < stacked, (strided, stacked)
