@@ -20,10 +20,12 @@ import configparser
 import os
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import tensor as T
 from .data import Utterance, load_features
 from .encoder import Encoder
-from .errors import ImpossibleAlignmentError, ValidationError
+from .errors import ValidationError
 from .model import (ATT_WEIGHT, CTC_WEIGHT, TAP_WEIGHT, AsrModel,
                     load_model, save_model)
 from .nn import seed_dropout
@@ -277,7 +279,15 @@ def train_step(model: AsrModel, opt: AdamW, batch, features_by_id,
                seed: int, stage_index: int, step: int,
                frozen_latents: dict | None = None) -> dict:
     """One optimizer step over a batch; utterances whose label cannot be
-    aligned are skipped and counted.
+    aligned are skipped, before any forward, and counted.
+
+    Each kept utterance runs forward and then at once backward, of its
+    loss times 1/n for the batch's n kept utterances, so the step holds
+    one utterance's graph at a time.  The gradients have the bytes that
+    one backward over the graph of the mean loss would give: that pass
+    runs the utterances' records in batch order too, and a parameter
+    adds each contribution into .grad as it comes (tensor.backward).
+    loss_total is the mean loss's float32 sum over the kept values.
 
     frozen_latents: in a stage that freezes the frontend, the cache of
     its features by utterance id, filled by Frontend.extract_features on
@@ -285,10 +295,19 @@ def train_step(model: AsrModel, opt: AdamW, batch, features_by_id,
     None when the frontend trains.
     """
     seed_dropout(model, seed, str(stage_index), str(step))
-    losses = []
-    skipped = 0
+    kept = [utt for utt in batch if model.aligns(
+        features_by_id[utt.utt_id].num_frames, utt.transcript,
+        utt.language)]
+    skipped = len(batch) - len(kept)
+    if not kept:
+        return {"loss_total": float("nan"), "loss_ctc": float("nan"),
+                "loss_att": float("nan"), "loss_taps": float("nan"),
+                "lr": opt.current_lr, "skipped_samples": skipped}
+    n = len(kept)
     parts = {"ctc": 0.0, "att": 0.0, "taps": 0.0}
-    for utt in batch:
+    totals = []
+    model.zero_grad()
+    for utt in kept:
         feat = features_by_id[utt.utt_id]
         if frozen_latents is None:
             latent = model.frontend.forward_latent(T.constant(feat.frames))
@@ -297,33 +316,22 @@ def train_step(model: AsrModel, opt: AdamW, batch, features_by_id,
                 frozen_latents[utt.utt_id] = \
                     model.frontend.extract_features(feat)
             latent = T.constant(frozen_latents[utt.utt_id])
-        try:
-            comp = model.utterance_losses(latent, utt.transcript,
-                                          utt.language)
-        except ImpossibleAlignmentError:
-            skipped += 1
-            continue
+        comp = model.utterance_losses(latent, utt.transcript, utt.language)
         total = CTC_WEIGHT * comp["ctc"] + ATT_WEIGHT * comp["att"]
         parts["ctc"] += comp["ctc"].item()
         parts["att"] += comp["att"].item()
         if "taps" in comp:
             total = total + TAP_WEIGHT * comp["taps"]
             parts["taps"] += comp["taps"].item()
-        losses.append(total)
-    if not losses:
-        return {"loss_total": float("nan"), "loss_ctc": float("nan"),
-                "loss_att": float("nan"), "loss_taps": float("nan"),
-                "lr": opt.current_lr, "skipped_samples": skipped}
-    mean_loss = losses[0]
-    for x in losses[1:]:
+        T.backward(total * (1.0 / n))
+        totals.append(total.data)
+    mean_loss = totals[0]
+    for x in totals[1:]:
         mean_loss = mean_loss + x
-    mean_loss = mean_loss * (1.0 / len(losses))
-    model.zero_grad()
-    T.backward(mean_loss)
+    mean_loss = mean_loss * np.asarray(1.0 / n, dtype=mean_loss.dtype)
     lr = opt.step()
-    n = len(losses)
     return {
-        "loss_total": mean_loss.item(),
+        "loss_total": float(mean_loss),
         "loss_ctc": parts["ctc"] / n,
         "loss_att": parts["att"] / n,
         "loss_taps": parts["taps"] / n,

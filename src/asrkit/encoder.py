@@ -78,6 +78,11 @@ class ConvSubsample(Module):
         self.bias = parameter(np.zeros(hidden_dim, dtype=np.float32))
         self.proj = Linear(hidden_dim, hidden_dim, rng)
 
+    @staticmethod
+    def out_frames(num_frames: int) -> int:
+        """The latents made from num_frames input frames."""
+        return -(-num_frames // 2)
+
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[0] < 2:
             raise ValidationError(

@@ -8,7 +8,7 @@ import numpy as np
 from . import serialization, tensor as T
 from .adapt import LanguageMask
 from .beam import BeamConfig, BeamResult, joint_beam_search, prefix_head
-from .ctc import ctc_losses
+from .ctc import ctc_losses, min_frames
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig, EncoderOutput
 from .errors import ValidationError
@@ -67,6 +67,14 @@ class AsrModel(Module):
             raise ValidationError("empty transcript")
         return np.array([self.vocab.sos_id, self.vocab.lang_id(language)]
                         + chars + [self.vocab.eos_id], dtype=np.int64)
+
+    def aligns(self, num_frames: int, text: str, language: str) -> bool:
+        """Whether CTC can align the label of `text` to the encoder
+        frames of a num_frames-frame input: utterance_losses raises
+        ImpossibleAlignmentError exactly when it cannot."""
+        labels = self.vocab.encode_transcript(text, language)
+        return min_frames(labels) <= \
+            self.encoder.subsample.out_frames(num_frames)
 
     def utterance_losses(self, latent: Tensor, text: str,
                          language: str) -> dict[str, Tensor]:

@@ -117,30 +117,37 @@ def load_arrays(directory: str, check=None) -> dict[str, np.ndarray]:
     index = load_index(directory)
     if check is not None:
         check({name: tuple(meta["shape"]) for name, meta in index.items()})
-    with open(params_path, "rb") as fh:
-        blob = fh.read()
     out = {}
     end = 0
-    # offset order; a zero-size array sorts before the array that shares
-    # its offset
-    for name, meta in sorted(index.items(), key=lambda item: (
-            item[1]["offset"], math.prod(item[1]["shape"]))):
-        dtype = _DTYPES[meta["dtype"]]
-        shape = tuple(meta["shape"])
-        start = meta["offset"]
-        if start != end:
-            raise CheckpointError(
-                f"array {name!r} starts at byte {start} of {PARAMS_FILE}, "
-                f"not where the previous array ends ({end})")
-        end = start + math.prod(shape) * dtype.itemsize
-        if end > len(blob):
-            raise CheckpointError(
-                f"array {name!r} extends past the end of {PARAMS_FILE}")
-        out[name] = np.frombuffer(
-            blob[start:end], dtype=dtype).reshape(shape).copy()
-    if end != len(blob):
+    with open(params_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # offset order; a zero-size array sorts before the array that
+        # shares its offset.  Each array's bytes go straight into its own
+        # buffer, so loading holds them once.
+        for name, meta in sorted(index.items(), key=lambda item: (
+                item[1]["offset"], math.prod(item[1]["shape"]))):
+            start = meta["offset"]
+            if start != end:
+                raise CheckpointError(
+                    f"array {name!r} starts at byte {start} of "
+                    f"{PARAMS_FILE}, not where the previous array ends "
+                    f"({end})")
+            dtype = _DTYPES[meta["dtype"]]
+            shape = tuple(meta["shape"])
+            end = start + math.prod(shape) * dtype.itemsize
+            # checked before the buffer is made, so a bad shape cannot
+            # ask for more memory than the file holds
+            if end > size:
+                raise CheckpointError(
+                    f"array {name!r} extends past the end of {PARAMS_FILE}")
+            arr = np.empty(shape, dtype=dtype)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise CheckpointError(
+                    f"{PARAMS_FILE} shrank while array {name!r} was read")
+            out[name] = arr
+    if end != size:
         raise CheckpointError(
-            f"{PARAMS_FILE} has {len(blob) - end} trailing bytes past the "
+            f"{PARAMS_FILE} has {size - end} trailing bytes past the "
             f"last array of {INDEX_FILE}")
     return out
 

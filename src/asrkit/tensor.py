@@ -9,12 +9,17 @@ Design notes:
     None).  Records link to records, not to tensors, so the graph holds
     only records, leaves and the arrays the backward rules capture: an
     intermediate array no rule reads is freed once the caller drops its
-    Tensor.  backward() computes a depth-first postorder from the loss,
-    which is a topological order, and visits each node exactly once.
+    Tensor.  backward() computes a depth-first postorder of the records
+    from the loss, which is a topological order, and visits each record
+    exactly once.
   * Gradients land in .grad on leaves only (tensors with no op record,
     i.e. parameters and inputs); intermediate results pass their
-    gradient on and keep .grad None.  A leaf accumulates additively, so
-    two backward passes over two graphs without zero_grad add up.
+    gradient on and keep .grad None.  A leaf adds each contribution into
+    .grad as soon as the rule that makes it has run, so its gradient is
+    one left-to-right sum over every backward pass since zero_grad:
+    backward over losses a, b and c in turn gives the bytes of one
+    backward over a + b + c, whose pass runs a's records, then b's, then
+    c's when their graphs share only leaves.
   * backward consumes the graph: each op record drops its rule and its
     inputs once the rule has run, so saved buffers are freed as the pass
     goes.  A second backward through the same graph raises
@@ -194,9 +199,12 @@ def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dx into .grad for every requires_grad leaf
     reachable from the scalar loss, consuming the graph.
 
-    Intermediate tensors keep .grad None.  Each op record drops its rule
-    and its input links once the rule has run, which frees the buffers
-    it saved; a later backward that reaches a consumed record raises
+    Intermediate tensors keep .grad None.  A leaf adds each incoming
+    contribution into .grad as the rule that makes it runs, so its
+    gradient is the left-to-right sum of every contribution, across
+    backward passes too.  Each op record drops its rule and its input
+    links once the rule has run, which frees the buffers it saved; a
+    later backward that reaches a consumed record raises
     GraphConstructionError before any gradient changes.
     """
     if loss.data.size != 1:
@@ -205,11 +213,15 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise GraphConstructionError(
             "loss does not require grad; it is not connected to any parameters")
-    root = loss if loss._entry is None else loss._entry
+    ones = np.ones_like(loss.data)
+    root = loss._entry
+    if root is None:  # the loss is itself a leaf
+        loss.grad = ones if loss.grad is None else loss.grad + ones
+        return
 
-    # Depth-first postorder over op records and leaves (iterative: graphs
-    # get deep).
-    topo: list = []
+    # Depth-first postorder over op records (iterative: graphs get deep);
+    # leaves take no part, since a leaf adds into .grad where it is fed.
+    topo: list[_OpRecord] = []
     seen: set[int] = set()
     stack: list = [(root, False)]
     while stack:
@@ -220,26 +232,21 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node.backward is None:
+            raise GraphConstructionError(
+                "graph already consumed by an earlier backward; "
+                "run the forward pass again")
         stack.append((node, True))
-        if type(node) is _OpRecord:
-            if node.backward is None:
-                raise GraphConstructionError(
-                    "graph already consumed by an earlier backward; "
-                    "run the forward pass again")
-            for parent in node.inputs:
-                if parent is not None and id(parent) not in seen:
-                    stack.append((parent, False))
+        for parent in node.inputs:
+            if type(parent) is _OpRecord and id(parent) not in seen:
+                stack.append((parent, False))
 
-    messages: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    messages: dict[int, np.ndarray] = {id(root): ones}
     # popping drops topo's reference, so a record whose consumers have
     # all run is freed unless its output tensor is still held
     while topo:
         node = topo.pop()
         g = messages.pop(id(node), None)
-        if type(node) is not _OpRecord:
-            if g is not None:
-                node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
         rule, inputs = node.backward, node.inputs
         node.backward, node.inputs = None, ()
         if g is None:
@@ -247,16 +254,21 @@ def backward(loss: Tensor) -> None:
         for parent, gi in zip(inputs, rule(g)):
             if gi is None or parent is None:
                 continue
-            if type(parent) is _OpRecord:
-                dtype, shape = parent.dtype, parent.shape
-            else:
+            leaf = type(parent) is not _OpRecord
+            if leaf:
                 dtype, shape = parent.data.dtype, parent.data.shape
+            else:
+                dtype, shape = parent.dtype, parent.shape
             if type(gi) is not np.ndarray or gi.dtype != dtype:
                 gi = np.asarray(gi, dtype=dtype)
             if gi.shape != shape:
                 gi = gi.reshape(shape)
-            acc = messages.get(id(parent))
-            messages[id(parent)] = gi if acc is None else acc + gi
+            if leaf:
+                parent.grad = gi.copy() if parent.grad is None \
+                    else parent.grad + gi
+            else:
+                acc = messages.get(id(parent))
+                messages[id(parent)] = gi if acc is None else acc + gi
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +433,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     windows = _windows(xp, out_len, K, stride)  # (out, K, cin)
     out = np.tensordot(windows, w.data, axes=([1, 2], [0, 1])) + bias.data
     wd = w.data
-    idx = np.arange(out_len) * stride
+    span = stride * (out_len - 1) + 1
 
     def bwd(g):
         # (K, cin, cout) from a C-ordered copy of the windows: over the
@@ -430,8 +442,11 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         gw = np.tensordot(np.ascontiguousarray(windows), g,
                           axes=([0], [0]))
         gxp = np.zeros_like(xp)
+        # tap k of the windows reads padded rows k, k + stride, ...,
+        # each once, so one strided += makes the same adds as a
+        # scatter-add would
         for k in range(K):
-            np.add.at(gxp, idx + k, g @ wd[k].T)
+            gxp[k:k + span:stride] += g @ wd[k].T
         return gxp[pl:pl + T], gw, g.sum(axis=0)
 
     return apply_primitive("conv1d", (x, w, bias), out, bwd)

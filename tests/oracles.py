@@ -1,5 +1,6 @@
 """Brute-force reference implementations used to check the fast paths."""
 
+import hashlib
 import itertools
 from functools import lru_cache
 
@@ -9,8 +10,10 @@ from asrkit import tensor as T
 from asrkit.beam import BeamResult, Hypothesis, prefix_head
 from asrkit.ctc import (PrefixState, ctc_complete_logprob,
                         ctc_prefix_extend_all, ctc_prefix_initial)
-from asrkit.errors import GraphConstructionError, ValidationError
-from asrkit.nn import Module, inference
+from asrkit.errors import (GraphConstructionError, ImpossibleAlignmentError,
+                           ValidationError)
+from asrkit.model import ATT_WEIGHT, CTC_WEIGHT, TAP_WEIGHT
+from asrkit.nn import Module, inference, seed_dropout
 from asrkit.optim import BETA1, BETA2, EPS, warmup_inv_sqrt
 from asrkit.rng import rng_for
 from asrkit.ssl import (NUM_DISTRACTORS, masked_prediction_accuracy,
@@ -391,7 +394,9 @@ def store_every_grad_backward(loss) -> dict:
     record, returned as {record: gradient}: the reference for
     tensor.backward, which writes .grad on leaves only and consumes the
     graph, and must give every leaf the same bytes.  It walks records
-    and leaves in the engine's order, so every sum runs in that order."""
+    and leaves in the engine's order, so every sum runs in that order,
+    and a leaf adds each contribution into .grad as it comes, as the
+    engine's leaves do."""
     if loss.data.size != 1:
         raise GraphConstructionError(
             f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -424,6 +429,7 @@ def store_every_grad_backward(loss) -> dict:
         if g is None:
             continue
         if not isinstance(node, T._OpRecord):
+            # only a loss that is itself a leaf gets here with a message
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         stored[node] = g.copy()
@@ -437,8 +443,12 @@ def store_every_grad_backward(loss) -> dict:
             gi = np.asarray(gi, dtype=dtype)
             if gi.shape != shape:
                 gi = gi.reshape(shape)
-            acc = messages.get(id(parent))
-            messages[id(parent)] = gi if acc is None else acc + gi
+            if isinstance(parent, T._OpRecord):
+                acc = messages.get(id(parent))
+                messages[id(parent)] = gi if acc is None else acc + gi
+            else:
+                parent.grad = gi.copy() if parent.grad is None \
+                    else parent.grad + gi
     return stored
 
 
@@ -486,6 +496,73 @@ def stacked_depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         return gxp[pl:pl + T_], gw, g.sum(axis=0)
 
     return T.apply_primitive("depthwise_conv1d", (x, w, bias), out, bwd)
+
+
+def combined_backward_train_step(model, opt, batch, features_by_id,
+                                 seed: int, stage_index: int, step: int,
+                                 frozen_latents: dict | None = None) -> dict:
+    """curriculum.train_step as it was before per-utterance backward:
+    every utterance is forwarded, a skipped one included, and one
+    backward runs over the mean of the batch's losses, so the whole
+    batch's graph is live at once."""
+    seed_dropout(model, seed, str(stage_index), str(step))
+    losses = []
+    skipped = 0
+    parts = {"ctc": 0.0, "att": 0.0, "taps": 0.0}
+    for utt in batch:
+        feat = features_by_id[utt.utt_id]
+        if frozen_latents is None:
+            latent = model.frontend.forward_latent(T.constant(feat.frames))
+        else:
+            if utt.utt_id not in frozen_latents:
+                frozen_latents[utt.utt_id] = \
+                    model.frontend.extract_features(feat)
+            latent = T.constant(frozen_latents[utt.utt_id])
+        try:
+            comp = model.utterance_losses(latent, utt.transcript,
+                                          utt.language)
+        except ImpossibleAlignmentError:
+            skipped += 1
+            continue
+        total = CTC_WEIGHT * comp["ctc"] + ATT_WEIGHT * comp["att"]
+        parts["ctc"] += comp["ctc"].item()
+        parts["att"] += comp["att"].item()
+        if "taps" in comp:
+            total = total + TAP_WEIGHT * comp["taps"]
+            parts["taps"] += comp["taps"].item()
+        losses.append(total)
+    if not losses:
+        return {"loss_total": float("nan"), "loss_ctc": float("nan"),
+                "loss_att": float("nan"), "loss_taps": float("nan"),
+                "lr": opt.current_lr, "skipped_samples": skipped}
+    mean_loss = losses[0]
+    for x in losses[1:]:
+        mean_loss = mean_loss + x
+    mean_loss = mean_loss * (1.0 / len(losses))
+    model.zero_grad()
+    T.backward(mean_loss)
+    lr = opt.step()
+    n = len(losses)
+    return {
+        "loss_total": mean_loss.item(),
+        "loss_ctc": parts["ctc"] / n,
+        "loss_att": parts["att"] / n,
+        "loss_taps": parts["taps"] / n,
+        "lr": lr,
+        "skipped_samples": skipped,
+    }
+
+
+def list_rng_for(seed: int, *labels: str) -> np.random.Generator:
+    """rng.rng_for with the SeedSequence key built as a list of Python
+    ints: the seed, then four little-endian u32 words of each label's
+    SHA-256."""
+    entropy = [int(seed)]
+    for label in labels:
+        digest = hashlib.sha256(label.encode("utf-8")).digest()
+        entropy.extend(int.from_bytes(digest[i:i + 4], "little")
+                       for i in range(0, 16, 4))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 class PerParameterAdamW:

@@ -401,7 +401,6 @@ def test_leaf_only_backward_matches_the_store_every_grad_engine(
         toy_corpus, monkeypatch):
     # one unfrozen depth-6 step with the conftest configs, dropout on,
     # under the engine and under the reference that keeps every .grad
-    from conftest import DECODER_CFG, ENCODER_CFG, FRONTEND_CFG
     from oracles import store_every_grad_backward
     from asrkit import tensor as T
     from asrkit.curriculum import train_step
@@ -413,12 +412,7 @@ def test_leaf_only_backward_matches_the_store_every_grad_engine(
              for u in utts}
 
     def run(engine):
-        model = AsrModel(ModelConfig(frontend=SslConfig(**FRONTEND_CFG),
-                                     encoder=EncoderConfig(**ENCODER_CFG),
-                                     decoder=DecoderConfig(**DECODER_CFG),
-                                     seed=7), vocab)
-        model.encoder.grow(6)
-        model.train()
+        model = dropout_model(vocab)
         inner, stored = [], {}
 
         def recording(loss):
@@ -448,6 +442,92 @@ def test_leaf_only_backward_matches_the_store_every_grad_engine(
     assert all(r.backward is None and r.inputs == () for r in got_inner)
     assert all(r.backward is not None for r in want_inner)
     assert set(want_stored) == set(want_inner)
+
+
+def dropout_model(vocab):
+    """A depth-6 model at the conftest sizes, dropout on, in train mode."""
+    from conftest import DECODER_CFG, ENCODER_CFG, FRONTEND_CFG
+    model = AsrModel(ModelConfig(frontend=SslConfig(**FRONTEND_CFG),
+                                 encoder=EncoderConfig(**ENCODER_CFG),
+                                 decoder=DecoderConfig(**DECODER_CFG),
+                                 seed=7), vocab)
+    model.encoder.grow(6)
+    model.train()
+    return model
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
+def test_per_utterance_backward_matches_one_backward_over_the_batch(
+        toy_corpus, size, frozen):
+    from oracles import combined_backward_train_step
+    from asrkit.curriculum import train_step
+    from asrkit.data import load_features
+    from asrkit.optim import AdamW
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    # two steps, so the second starts from parameters the first moved
+    batches = [toy_corpus["train"][:size], toy_corpus["train"][5:5 + size]]
+    feats = {u.utt_id: load_features(toy_corpus["train_manifest"], u)
+             for batch in batches for u in batch}
+    freeze = ("frontend",) if frozen else ()
+
+    def run(step_fn):
+        model = dropout_model(vocab)
+        opt = AdamW(trainable_parameters(model, freeze), peak_lr=1e-3,
+                    warmup=1)
+        cache = {} if frozen else None
+        rows = [step_fn(model, opt, batch, feats, seed=3, stage_index=6,
+                        step=step, frozen_latents=cache)
+                for step, batch in enumerate(batches)]
+        return model, rows
+
+    got, got_rows = run(train_step)
+    want, want_rows = run(combined_backward_train_step)
+    assert got_rows == want_rows
+    assert all(row["skipped_samples"] == 0 for row in got_rows)
+    want_params = dict(want.named_parameters())
+    compared = 0
+    for name, p in got.named_parameters():
+        if want_params[name].grad is None:
+            assert p.grad is None, name
+            continue
+        assert p.grad.tobytes() == want_params[name].grad.tobytes(), name
+        assert p.data.tobytes() == want_params[name].data.tobytes(), name
+        compared += 1
+    assert compared
+    assert any(n.startswith("frontend.") and p.grad is not None
+               for n, p in got.named_parameters()) is not frozen
+
+
+def test_a_step_holds_one_utterance_graph_at_a_time(toy_corpus):
+    import tracemalloc
+    from asrkit.curriculum import train_step
+    from asrkit.data import load_features
+    from asrkit.optim import AdamW
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    utts = toy_corpus["train"][:3]
+    feats = {u.utt_id: load_features(toy_corpus["train_manifest"], u)
+             for u in utts}
+    model = dropout_model(vocab)
+    params = trainable_parameters(model, ())
+    opt = AdamW(params, peak_lr=1e-3, warmup=1)
+    train_step(model, opt, utts[:1], feats, seed=3, stage_index=6, step=0)
+
+    def traced_peak(batch, step):
+        tracemalloc.start()
+        try:
+            train_step(model, opt, batch, feats, seed=3, stage_index=6,
+                       step=step)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = max(traced_peak([u], i + 1) for i, u in enumerate(utts))
+    batch = traced_peak(utts, len(utts) + 1)
+    # a later utterance's graph meets the gradients the earlier ones left,
+    # which a lone utterance's backward builds only as it frees its graph
+    grads = sum(p.data.nbytes for p in params.values())
+    assert batch <= single + grads + 128 * 1024, (batch, single, grads)
 
 
 def test_frozen_stages_extract_each_utterance_once(toy_corpus, tmp_path,
@@ -756,10 +836,40 @@ def test_impossible_labels_are_skipped_and_counted(toy_corpus, tmp_path):
     feats = {short.utt_id: type(feat)(frames=feat.frames[:8],
                                       language=feat.language)}
     opt = AdamW(trainable_parameters(model, ()), peak_lr=1e-3, warmup=1)
+    forwarded = []
+    original = model.frontend.forward_latent
+    model.frontend.forward_latent = lambda x: forwarded.append(x) or \
+        original(x)
     metrics = train_step(model, opt, [short], feats, seed=0,
                          stage_index=0, step=0)
     assert metrics["skipped_samples"] == 1
     assert np.isnan(metrics["loss_total"])
+    # the skip is decided before any forward
+    assert forwarded == []
+
+
+def test_aligns_exactly_when_the_ctc_loss_can_be_built(toy_corpus):
+    from asrkit import tensor as T
+    from asrkit.errors import ImpossibleAlignmentError
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    model = small_model(vocab)
+    src = toy_corpus["train"][0]
+    charset = next(lang.charset for lang in toy_corpus["spec"].languages
+                   if lang.name == src.language)
+    # 5 labels with one repeat need 6 CTC frames: 11 input frames
+    text = charset[0] * 2 + charset[1:4]
+    latent = np.zeros((14, model.cfg.frontend.hidden_dim), dtype=np.float32)
+    verdicts = {}
+    for frames in range(2, 15):
+        try:
+            model.utterance_losses(T.constant(latent[:frames]), text,
+                                   src.language)
+            built = True
+        except ImpossibleAlignmentError:
+            built = False
+        assert model.aligns(frames, text, src.language) == built, frames
+        verdicts[frames] = built
+    assert not verdicts[10] and verdicts[11]
 
 
 def test_metrics_rows_stay_valid_json_when_every_utterance_is_skipped(

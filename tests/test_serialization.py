@@ -58,6 +58,23 @@ def test_truncated_blob_rejected(tmp_path):
         ser.load_arrays(str(tmp_path))
 
 
+def test_loading_holds_each_array_once(tmp_path):
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    arrays = {f"w{i}": rng.normal(size=(256, 256)).astype(np.float32)
+              for i in range(8)}
+    ser.save_arrays(str(tmp_path), arrays)
+    total = sum(a.nbytes for a in arrays.values())
+    tracemalloc.start()
+    try:
+        loaded = ser.load_arrays(str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(loaded[n].tobytes() == a.tobytes() for n, a in arrays.items())
+    assert peak < total + 64 * 1024, (peak, total)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     ser.save_arrays(str(tmp_path), {"w": np.ones(8, dtype=np.float64)})
     blob = tmp_path / ser.PARAMS_FILE

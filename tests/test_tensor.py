@@ -61,6 +61,21 @@ def test_grad_accumulates_across_uses():
     np.testing.assert_allclose(x.grad, 4.0 * x.data)
 
 
+def test_a_leaf_adds_each_contribution_as_it_comes():
+    # x is used twice in each of two losses; over both backward passes
+    # its gradient is the left-to-right sum of the four contributions,
+    # not the sum of two per-pass sums
+    rng = np.random.default_rng(23)
+    a, b, c, d = (rng.normal(size=64).astype(np.float32) for _ in range(4))
+    want = ((a + b) + c) + d
+    assert want.tobytes() != ((a + b) + (c + d)).tobytes()
+    x = T.Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+    for first, second in ((a, b), (c, d)):
+        T.backward(T.sum_(x * T.constant(first))
+                   + T.sum_(x * T.constant(second)))
+    assert x.grad.tobytes() == want.tobytes()
+
+
 def test_second_backward_through_a_consumed_graph_raises():
     x = T.Tensor(np.array([2.0, 3.0]), requires_grad=True)
     h = x * x
@@ -330,6 +345,25 @@ def test_strided_windows_match_the_stacked_convolutions():
                 assert a.dtype == b.dtype == dtype
                 assert a.tobytes() == b.tobytes(), (conv.__name__, t, K,
                                                     kwargs)
+
+
+def test_conv1d_input_gradient_matches_the_scatter_add():
+    # the strided += of each tap against oracles.stacked_conv1d's
+    # np.add.at, over long inputs, wide kernels and strides up to 3
+    rng = np.random.default_rng(24)
+    for trial in range(60):
+        dtype = (np.float32, np.float64)[trial % 2]
+        t, K = int(rng.integers(1, 260)), int(rng.integers(1, 8))
+        stride = int(rng.integers(1, 4))
+        cin, cout = int(rng.integers(1, 33)), int(rng.integers(1, 33))
+        arrays = [rng.normal(size=(t, cin)).astype(dtype),
+                  rng.normal(size=(K, cin, cout)).astype(dtype),
+                  rng.normal(size=cout).astype(dtype)]
+        got = conv_outputs_and_grads(T.conv1d, arrays, trial, stride=stride)
+        want = conv_outputs_and_grads(stacked_conv1d, arrays, trial,
+                                      stride=stride)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), (t, K, stride, dtype)
 
 
 @pytest.mark.parametrize("conv,reference,wshape", [
