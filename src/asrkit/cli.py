@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 validation error (including bad arguments),
-2 any other runtime failure, a non-finite value inside the network
-(FloatingPointError) among them.
+2 any other runtime failure, a non-finite value inside the network or in
+a gradient (FloatingPointError) among them.
 """
 
 import argparse

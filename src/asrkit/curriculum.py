@@ -5,7 +5,8 @@ the data filter (one language, small subset, to everything), keeps the
 frontend frozen through stage 6, and unfreezes it in stage 7.  A
 frozen frontend is a feature extractor: it runs once per utterance, in
 eval mode without gradients, and its features are cached for the whole
-frozen span.  The step loss is
+frozen span.  The cache is emptied when the frontend unfreezes, since
+nothing reads it after.  The step loss is
 
     0.3 * ctc_final + 0.7 * attention + 0.5 * mean(tap ctc losses)
 
@@ -424,8 +425,12 @@ def run_curriculum(model: AsrModel, utts: list[Utterance],
             buckets = make_buckets(pool, plan.batch_max_frames)
             params = trainable_parameters(model, stage.freeze)
             opt = AdamW(params, peak_lr=stage.peak_lr, warmup=stage.warmup)
-            latents = frozen_latents if FRONTEND_SET in stage.freeze \
-                else None
+            latents = frozen_latents
+            if FRONTEND_SET not in stage.freeze:
+                # the frontend trains from here on (only the final stage
+                # may unfreeze it), so nothing reads its cached features
+                frozen_latents.clear()
+                latents = None
             model.train()
             for step in range(stage.steps):
                 batch = pick_batch(buckets, seed, si, step)

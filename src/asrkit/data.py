@@ -86,7 +86,14 @@ def save_manifest(path: str, utterances: list[Utterance]) -> None:
             fh.write("\n")
 
 
+_STRING_FIELDS = ("utt_id", "features_path", "transcript", "language")
+
+
 def load_manifest(path: str) -> list[Utterance]:
+    """The utterances of a manifest.  A row that is not a JSON object
+    with string utt_id, features_path, transcript and language and
+    numeric num_frames and duration_sec raises ValidationError naming
+    path:line; so does a repeated utt_id, naming the id."""
     utts = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -95,6 +102,11 @@ def load_manifest(path: str) -> list[Utterance]:
                 continue
             try:
                 row = json.loads(line)
+                for key in _STRING_FIELDS:
+                    if not isinstance(row[key], str):
+                        raise TypeError(
+                            f"{key} must be a string, got "
+                            f"{type(row[key]).__name__}")
                 utts.append(Utterance(
                     utt_id=row["utt_id"],
                     features_path=row["features_path"],
@@ -228,14 +240,16 @@ def _utt_plan(spec: SyntheticSpec, lang: LanguageSpec, index: int):
 def _render_frames(spec: SyntheticSpec, templates: dict[str, np.ndarray],
                    lang: LanguageSpec, index: int,
                    chars: str) -> np.ndarray:
+    """Each character's template over its frames plus Gaussian noise:
+    one draw for the whole utterance gives the same values, in the same
+    order, as one draw per character."""
     rng = rng_for(spec.seed, "noise", lang.name, str(index))
     fpt = spec.frames_per_token
-    frames = np.empty((len(chars) * fpt, spec.feature_dim), dtype=np.float32)
-    for i, ch in enumerate(chars):
-        seg = templates[ch][None, :] + rng.normal(
-            0.0, spec.noise_std, size=(fpt, spec.feature_dim))
-        frames[i * fpt:(i + 1) * fpt] = seg.astype(np.float32)
-    return frames
+    noise = rng.normal(0.0, spec.noise_std,
+                       size=(len(chars) * fpt, spec.feature_dim))
+    noise += np.repeat(np.stack([templates[ch] for ch in chars]), fpt,
+                       axis=0)
+    return noise.astype(np.float32)
 
 
 def gen_synthetic_corpus(spec: SyntheticSpec, out_dir: str

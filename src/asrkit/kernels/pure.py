@@ -46,12 +46,42 @@ def ctc_loss_grad(log_post: np.ndarray, labels: np.ndarray):
     can_skip[K:] = _skip_allowed(ext[::-1])
     can_skip = can_skip[:, 2:]
 
-    fwd = np.full((T, 2 * K, S), NEG_INF)
+    fwd = _forward(emit, can_skip)
+    alpha = fwd[:, :K]
+    total = alpha[T - 1, :, S - 1].copy()
+    if S > 1:
+        total = np.logaddexp(total, alpha[T - 1, :, S - 2])
+
+    # state occupancy gamma = alpha + beta - emission - total, summed
+    # left to right: alpha and beta both include the frame-t emission,
+    # so it is subtracted once.  gamma is built in place in the half of
+    # emit that held the reversed problem, which the recursion no longer
+    # needs, and fwd is freed as soon as gamma holds alpha + beta
+    gamma = np.add(alpha, fwd[::-1, K:, ::-1], out=emit[:, K:])
+    del alpha, fwd
+    gamma -= emit[:, :K]
+    gamma -= total[:, None]
+    lost = ~np.isfinite(gamma)
+    np.exp(gamma, out=gamma)
+    gamma[lost] = 0.0
+    occ = gamma.transpose(1, 0, 2)
+    grad = np.zeros_like(log_post)
+    for s in range(S):
+        grad[:, :, ext[s]] -= occ[:, :, s]
+    return -total, grad
+
+
+def _forward(emit: np.ndarray, can_skip: np.ndarray) -> np.ndarray:
+    """The (T, R, S) log-space forward variables of R rows of S states
+    from their (T, R, S) emissions; can_skip (R, S - 2) says which
+    states from the third on may be entered from two states back."""
+    T, _, S = emit.shape
+    fwd = np.full(emit.shape, NEG_INF)
     fwd[0, :, 0] = emit[0, :, 0]
     if S > 1:
         fwd[0, :, 1] = emit[0, :, 1]
-    step = np.full((2 * K, S), NEG_INF)
-    skip = np.full((2 * K, S), NEG_INF)
+    step = np.full(emit.shape[1:], NEG_INF)
+    skip = np.full(emit.shape[1:], NEG_INF)
     for t in range(1, T):
         prev = fwd[t - 1]
         step[:, 1:] = prev[:, :-1]
@@ -60,23 +90,7 @@ def ctc_loss_grad(log_post: np.ndarray, labels: np.ndarray):
         np.logaddexp(prev, step, out=cur)
         np.logaddexp(cur, skip, out=cur)
         cur += emit[t]
-
-    alpha = fwd[:, :K].transpose(1, 0, 2)
-    beta = fwd[::-1, K:, ::-1].transpose(1, 0, 2)
-    total = alpha[:, T - 1, S - 1]
-    if S > 1:
-        total = np.logaddexp(total, alpha[:, T - 1, S - 2])
-
-    # state occupancy: alpha and beta both include the frame-t emission,
-    # so subtract it once
-    gamma = (alpha + beta - log_post[:, :, ext]
-             - total[:, None, None])
-    occ = np.exp(gamma)
-    occ[~np.isfinite(gamma)] = 0.0
-    grad = np.zeros_like(log_post)
-    for s in range(S):
-        grad[:, :, ext[s]] -= occ[:, :, s]
-    return -total, grad
+    return fwd
 
 
 def _skip_allowed(ext: np.ndarray) -> np.ndarray:

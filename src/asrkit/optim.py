@@ -32,6 +32,12 @@ class AdamW(object):
     without a gradient neither moves nor decays its moments; a step
     whose parameters with a gradient differ from the first step's
     raises ValidationError.
+
+    Between steps the optimizer holds `m` and `v` only: the flat
+    gradient and the update are allocated inside step(), once backward
+    has freed the graph.  A gradient with a NaN or an infinity raises
+    FloatingPointError naming the first such parameter, before the step
+    count, the moments or any weight change.
     """
 
     def __init__(self, params: dict[str, Tensor], peak_lr: float = 1e-3,
@@ -58,8 +64,8 @@ class AdamW(object):
             p = self.params[name]
             self._layout.append((p, end, end + p.data.size))
             end += p.data.size
-        self.m, self.v, self._g, self._a = (
-            np.zeros(end, dtype=np.float32) for _ in range(4))
+        self.m = np.zeros(end, dtype=np.float32)
+        self.v = np.zeros(end, dtype=np.float32)
 
     def step(self) -> float:
         """Apply one update from the accumulated gradients; returns lr."""
@@ -69,12 +75,20 @@ class AdamW(object):
         elif live != self._names:
             raise ValidationError(
                 "the parameters with a gradient changed between steps")
+        g = np.empty(self.m.size, dtype=np.float32)
+        np.concatenate([p.grad.ravel() for p, _, _ in self._layout], out=g)
+        if not np.isfinite(g).all():
+            bad = next(name for name, (_, start, end)
+                       in zip(self._names, self._layout)
+                       if not np.isfinite(g[start:end]).all())
+            raise FloatingPointError(
+                f"non-finite gradient for parameter {bad!r}")
         self.t += 1
         lr = warmup_inv_sqrt(self.t, self.peak_lr, self.warmup)
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        m, v, g, a = self.m, self.v, self._g, self._a
-        np.concatenate([p.grad.ravel() for p, _, _ in self._layout], out=g)
+        m, v = self.m, self.v
+        a = np.empty_like(g)
         m *= BETA1
         np.multiply(1.0 - BETA1, g, out=a)
         m += a

@@ -633,21 +633,32 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return apply_primitive("cross_entropy", (logits,), out, bwd)
 
 
+def _unpack_mask(packed: np.ndarray, shape: tuple) -> np.ndarray:
+    """The bool mask of `shape` that np.packbits packed into `packed`."""
+    return np.unpackbits(packed, count=int(np.prod(shape))).view(
+        bool).reshape(shape)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
             training: bool) -> Tensor:
     """Inverted dropout; exact identity (same tensor) when not training
     or at p = 0, the two cases that draw nothing from rng.  Backward
-    keeps the mask as a bool array, a quarter of a float32 copy."""
+    keeps the mask np.packbits-packed, one bit per element, and unpacks
+    it once when it runs."""
     if not 0.0 <= p < 1.0:
         raise GraphConstructionError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)
-    out = x.data * keep * scale
+    out = x.data * keep
+    out *= scale
+    packed, shape = np.packbits(keep), x.shape
 
     def bwd(g):
-        return (g * keep * scale,)
+        gx = g * _unpack_mask(packed, shape)
+        gx *= scale
+        return (gx,)
 
     return apply_primitive("dropout", (x,), out, bwd)
 
@@ -667,9 +678,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     The bias depends only on j - i, so it is gathered once as an
     (H, tq+tk-1) row and added through a read-only Toeplitz view.
-    Backward keeps the softmax output, the dropout mask as bool and the
-    per-head q, k, v; it rebuilds the dropped-out weights and the bias
-    bins from those when it runs.
+    Backward keeps the softmax output, the dropout mask np.packbits-
+    packed (one bit per weight) and the per-head q, k, v.  When it runs
+    it unpacks the mask once, rebuilds the dropped-out weights, and
+    turns the weight gradient into the score gradient in place; the
+    bias gradient is summed per head, over one (tq, tk) view of the
+    offsets' table rows, from the score gradient before it is scaled.
     """
     if (q.ndim != 2 or k.ndim != 2 or v.shape != k.shape
             or q.shape[1] != k.shape[1] or q.shape[1] % heads != 0):
@@ -710,42 +724,54 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         raise FloatingPointError("attention softmax input contains NaN")
     probs = np.exp(np.subtract(scores, row_max, out=scores), out=scores)
     probs /= np.sum(probs, axis=-1, keepdims=True)
-    keep = None
+    keep = packed = None
     keep_scale = 1.0 / (1.0 - p)
     if training and p > 0.0:
         keep = rng.random(probs.shape) >= p
+        packed = np.packbits(keep)
 
-    def dropped():
-        return probs if keep is None else probs * keep * keep_scale
+    def dropped(keep):
+        if keep is None:
+            return probs
+        w = probs * keep
+        w *= keep_scale
+        return w
 
     def merge_heads(x):
         # (H, t, d) -> (t, H*d) as a fresh C-ordered array: a strided view
         # would change how numpy sums and multiplies it downstream
         return x.transpose(1, 0, 2).copy().reshape(x.shape[1], dim)
 
-    out = merge_heads(np.matmul(dropped(), vh))
+    out = merge_heads(np.matmul(dropped(keep), vh))
 
     def bwd(g):
+        keep = None if packed is None else _unpack_mask(packed, probs.shape)
         gh = g.reshape(tq, heads, d).transpose(1, 0, 2)
-        gv = np.matmul(dropped().transpose(0, 2, 1), gh)
-        gw = np.matmul(gh, vh.transpose(0, 2, 1))
+        gv = np.matmul(dropped(keep).transpose(0, 2, 1), gh)
+        # the weight gradient has out's dtype, at least as wide as probs
+        # and scale, so each in-place step rounds as an out-of-place one
+        gs = np.matmul(gh, vh.transpose(0, 2, 1))
         if keep is not None:
-            gw = gw * keep * keep_scale
-        gs = (gw - np.sum(gw * probs, axis=-1, keepdims=True)) * probs
-        gsc = gs * scale
-        gq = np.matmul(gsc, kt.transpose(0, 2, 1))
-        gkt = np.matmul(qh.transpose(0, 2, 1), gsc)
+            gs *= keep
+            gs *= keep_scale
+        del keep
+        gs -= np.sum(gs * probs, axis=-1, keepdims=True)
+        gs *= probs
+        gt = None
+        if rows:
+            # np.add.at per head sums each bias entry's scores in row
+            # order and in the table's dtype, as the per-head embedding
+            # gather did; np.bincount would sum in float64
+            ids = _toeplitz(offset_ids, tq).ravel()
+            gt = np.zeros((heads, rows), dtype=gs.dtype)
+            for h in range(heads):
+                np.add.at(gt[h], ids, gs[h].ravel())
+        gs *= scale
+        gq = np.matmul(gs, kt.transpose(0, 2, 1))
+        gkt = np.matmul(qh.transpose(0, 2, 1), gs)
         grads = (merge_heads(gq), merge_heads(gkt.transpose(0, 2, 1)),
                  merge_heads(gv))
-        if not rows:
-            return grads
-        # one np.add.at over (head, offset) bins sums each bias entry's
-        # scores in row order and in the table's dtype, as the per-head
-        # embedding gather did; np.bincount would sum in float64
-        bins = _toeplitz(offset_ids, tq) + rows * np.arange(heads)[:, None, None]
-        gt = np.zeros(heads * rows, dtype=gs.dtype)
-        np.add.at(gt, bins.ravel(), gs.ravel())
-        return grads + (gt.reshape(heads, rows).T,)
+        return grads if gt is None else grads + (gt.T,)
 
     return apply_primitive("attention", inputs, out, bwd)
 

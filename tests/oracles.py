@@ -108,6 +108,64 @@ def two_pass_ctc_loss_grad(log_post: np.ndarray, labels: np.ndarray):
     return -float(total), grad
 
 
+def out_of_place_ctc_loss_grad(log_post: np.ndarray, labels: np.ndarray):
+    """kernels.pure.ctc_loss_grad as it was before it built the state
+    occupancies in place: the emissions and the forward variables live
+    to the end, and gamma is a fresh array, gathering log_post again.
+    The in-place kernel must match it bit for bit."""
+    log_post = np.ascontiguousarray(log_post, dtype=np.float64)
+    if log_post.ndim == 2:
+        loss, grad = out_of_place_ctc_loss_grad(log_post[None], labels)
+        return float(loss[0]), grad[0]
+    labels = np.asarray(labels, dtype=np.int64)
+    K, t_len, _ = log_post.shape
+    S = 2 * labels.shape[0] + 1
+    ext = np.zeros(S, dtype=np.int64)
+    ext[1::2] = labels
+
+    def skip_allowed(ext):
+        allowed = ext != 0
+        allowed[2:] &= ext[2:] != ext[:-2]
+        return allowed
+
+    emit = np.empty((t_len, 2 * K, S))
+    emit[:, :K] = log_post[:, :, ext].transpose(1, 0, 2)
+    emit[:, K:] = emit[::-1, :K, ::-1]
+    can_skip = np.empty((2 * K, S), dtype=bool)
+    can_skip[:K] = skip_allowed(ext)
+    can_skip[K:] = skip_allowed(ext[::-1])
+    can_skip = can_skip[:, 2:]
+
+    fwd = np.full((t_len, 2 * K, S), -np.inf)
+    fwd[0, :, 0] = emit[0, :, 0]
+    if S > 1:
+        fwd[0, :, 1] = emit[0, :, 1]
+    step = np.full((2 * K, S), -np.inf)
+    skip = np.full((2 * K, S), -np.inf)
+    for t in range(1, t_len):
+        prev = fwd[t - 1]
+        step[:, 1:] = prev[:, :-1]
+        np.copyto(skip[:, 2:], prev[:, :-2], where=can_skip)
+        cur = fwd[t]
+        np.logaddexp(prev, step, out=cur)
+        np.logaddexp(cur, skip, out=cur)
+        cur += emit[t]
+
+    alpha = fwd[:, :K].transpose(1, 0, 2)
+    beta = fwd[::-1, K:, ::-1].transpose(1, 0, 2)
+    total = alpha[:, t_len - 1, S - 1]
+    if S > 1:
+        total = np.logaddexp(total, alpha[:, t_len - 1, S - 2])
+    gamma = (alpha + beta - log_post[:, :, ext]
+             - total[:, None, None])
+    occ = np.exp(gamma)
+    occ[~np.isfinite(gamma)] = 0.0
+    grad = np.zeros_like(log_post)
+    for s in range(S):
+        grad[:, :, ext[s]] -= occ[:, :, s]
+    return -total, grad
+
+
 def seeded_decode_fn(seed: int, width: int):
     """A deterministic fake decoder: each prefix maps to a fixed
     normalized log-probability row."""
@@ -551,6 +609,20 @@ def combined_backward_train_step(model, opt, batch, features_by_id,
         "lr": lr,
         "skipped_samples": skipped,
     }
+
+
+def per_character_render_frames(spec, templates: dict, lang, index: int,
+                                chars: str) -> np.ndarray:
+    """data._render_frames as it was before one noise draw per
+    utterance: one draw and one add per character."""
+    rng = rng_for(spec.seed, "noise", lang.name, str(index))
+    fpt = spec.frames_per_token
+    frames = np.empty((len(chars) * fpt, spec.feature_dim), dtype=np.float32)
+    for i, ch in enumerate(chars):
+        seg = templates[ch][None, :] + rng.normal(
+            0.0, spec.noise_std, size=(fpt, spec.feature_dim))
+        frames[i * fpt:(i + 1) * fpt] = seg.astype(np.float32)
+    return frames
 
 
 def list_rng_for(seed: int, *labels: str) -> np.random.Generator:

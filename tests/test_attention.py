@@ -166,10 +166,21 @@ def retained_bytes(make):
     return held
 
 
-def test_training_attention_keeps_probs_and_a_bool_mask_only():
+def test_dropout_keeps_one_bit_per_mask_element():
+    rng = np.random.default_rng(7)
+    x = T.Tensor(rng.normal(size=(200, 200)).astype(np.float32),
+                 requires_grad=True)
+    stream = np.random.default_rng(8)
+    held = retained_bytes(lambda: T.dropout(x, 0.1, stream, training=True))
+    # the float32 output plus the packed mask; a bool mask is 8x that
+    assert held <= x.data.nbytes + x.data.size // 8 + 2048, held
+
+
+def test_training_attention_keeps_one_bit_per_mask_element():
     # what backward holds is the output's record: the float softmax
-    # output and a bool dropout mask fit under 2·H·T²·4 bytes; a float
-    # mask, the dropped-out weights or an int64 (T, T) bias index do not
+    # output, the per-head q, k and v and the packed mask.  A bool mask
+    # would overshoot by 7/8·H·T² bytes; a float mask, the dropped-out
+    # weights or an int64 (T, T) bias index by more
     heads, t, dim = 2, 200, 8
     rng = np.random.default_rng(5)
     q, k, v = (T.Tensor(rng.normal(size=(t, dim)).astype(np.float32),
@@ -179,14 +190,47 @@ def test_training_attention_keeps_probs_and_a_bool_mask_only():
     stream = np.random.default_rng(6)
     held = retained_bytes(lambda: T.attention(
         q, k, v, heads, rel_table=table, p=0.1, rng=stream, training=True))
-    assert held < 2 * heads * t * t * 4, held
+    scores = heads * t * t
+    assert held <= 4 * scores + scores // 8 + 4 * (4 * t * dim) \
+        + 8 * 2 * t + 8192, held
 
 
-def test_dropout_keeps_a_bool_mask():
-    rng = np.random.default_rng(7)
-    x = T.Tensor(rng.normal(size=(200, 200)).astype(np.float32),
-                 requires_grad=True)
-    stream = np.random.default_rng(8)
-    held = retained_bytes(lambda: T.dropout(x, 0.1, stream, training=True))
-    # the float32 output plus a one-byte-per-element mask
-    assert held < x.data.nbytes + 2 * x.data.size, held
+def test_attention_backward_holds_under_three_score_arrays():
+    # at the encoder's T = 240 and two heads: the weight gradient, its
+    # product with probs for the row sums and the unpacked mask, not the
+    # five and a half score-sized temporaries of an out-of-place backward
+    heads, t, dim = 2, 240, 32
+    rng = np.random.default_rng(9)
+    q, k, v = (T.Tensor(rng.normal(size=(t, dim)).astype(np.float32),
+                        requires_grad=True) for _ in range(3))
+    table = T.Tensor(rng.normal(size=(2 * 16 + 1, heads)).astype(np.float32),
+                     requires_grad=True)
+    weights = T.constant(rng.normal(size=(t, dim)).astype(np.float32))
+    out = T.attention(q, k, v, heads, rel_table=table, p=0.1,
+                      rng=np.random.default_rng(10), training=True)
+    loss = T.sum_(out * weights)
+    del out
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * heads * t * t * 4, peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_dropout_gives_the_bool_mask_bytes(dtype):
+    # odd sizes leave a partial last byte in the packed mask
+    rng = np.random.default_rng(11)
+    for shape in [(1,), (3, 5), (7, 9, 2), (64, 33)]:
+        x = T.Tensor(rng.normal(size=shape).astype(dtype),
+                     requires_grad=True)
+        g = rng.normal(size=shape).astype(dtype)
+        out = T.dropout(x, 0.3, np.random.default_rng(12), training=True)
+        T.backward(T.sum_(out * T.constant(g)))
+        keep = np.random.default_rng(12).random(shape) >= 0.3
+        scale = 1.0 / (1.0 - 0.3)
+        assert out.data.tobytes() == (x.data * keep * scale).tobytes()
+        assert x.grad.tobytes() == (g * keep * scale).tobytes()

@@ -439,6 +439,24 @@ def test_train_checks_every_stage_freeze_before_training(pipeline,
     assert not (out / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize("field, value", [("features_path", 5),
+                                          ("utt_id", 7)])
+def test_pretrain_with_a_non_string_manifest_field_exits_1(
+        pipeline, tmp_path, capsys, field, value):
+    manifest = tmp_path / "manifest.jsonl"
+    rows = read_jsonl(pipeline["manifest"])
+    rows[0][field] = value
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "fe"
+    assert main(["pretrain", "--manifest", str(manifest),
+                 "--out-dir", str(out), "--steps", "2", "--hidden-dim", "16",
+                 "--num-blocks", "1", "--codebook-size", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{manifest}:1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_pretrain_writes_a_nan_metric_as_null(pipeline, tmp_path,
                                               monkeypatch):
     from asrkit import ssl

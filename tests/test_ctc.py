@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients
-from oracles import two_pass_ctc_loss_grad
+from oracles import out_of_place_ctc_loss_grad, two_pass_ctc_loss_grad
 from asrkit import kernels, tensor as T
 from asrkit.ctc import (PrefixState, ctc_complete_logprob, ctc_loss,
                           ctc_losses, ctc_prefix_extend_all,
@@ -149,6 +149,26 @@ def test_fused_kernel_equals_the_two_pass_reference():
             loss, grad = two_pass_ctc_loss_grad(lp[k], labels)
             assert same_bytes(losses[k], loss)
             assert same_bytes(grads[k], grad)
+
+
+def test_in_place_kernel_equals_the_out_of_place_one():
+    # random K, T and labels with repeats, U = 0, T = min_frames, and
+    # posteriors with -inf entries, whose occupancies are not finite
+    rng = np.random.default_rng(24)
+    for trial in range(200):
+        lp, labels = random_stack(rng)
+        if trial % 4 == 0:
+            lp[rng.random(lp.shape) < 0.1] = -np.inf
+        with np.errstate(invalid="ignore"):  # -inf - -inf in gamma
+            got = pure.ctc_loss_grad(lp, labels)
+            want = out_of_place_ctc_loss_grad(lp, labels)
+        assert same_bytes(got[0], want[0]), trial
+        assert same_bytes(got[1], want[1]), trial
+        with np.errstate(invalid="ignore"):
+            loss, grad = pure.ctc_loss_grad(lp[0], labels)
+            want = out_of_place_ctc_loss_grad(lp[0], labels)
+        assert isinstance(loss, float)
+        assert same_bytes(grad, want[1])
 
 
 def test_stacked_losses_match_enumeration():

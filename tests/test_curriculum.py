@@ -567,6 +567,37 @@ def test_frozen_stages_extract_each_utterance_once(toy_corpus, tmp_path,
     assert len(frames) == len(used) > 1
 
 
+def test_the_feature_cache_is_emptied_before_the_first_unfrozen_step(
+        toy_corpus, tmp_path, monkeypatch):
+    vocab = load_vocab(toy_corpus["vocab_path"])
+    utts = toy_corpus["train"][:4]
+    plan = StagePlan(stages=(
+        Stage(name="a", encoder_depth=2, languages=None, steps=3,
+              peak_lr=1e-3, warmup=2),
+        Stage(name="b", encoder_depth=2, languages=None, steps=2,
+              peak_lr=1e-3, warmup=2, freeze=())),
+        batch_max_frames=300)
+    caches = []
+    cache_sizes_when_unfrozen = []
+    original = curriculum.train_step
+
+    def spy(model, opt, batch, features_by_id, seed, stage_index, step,
+            frozen_latents=None):
+        if frozen_latents is not None:
+            caches.append(frozen_latents)
+        else:
+            cache_sizes_when_unfrozen.append([len(c) for c in caches])
+        return original(model, opt, batch, features_by_id, seed,
+                        stage_index, step, frozen_latents)
+
+    monkeypatch.setattr(curriculum, "train_step", spy)
+    run_curriculum(small_model(vocab), utts, toy_corpus["train_manifest"],
+                   plan, seed=3, out_dir=str(tmp_path / "run"))
+    assert len(caches) == 3 and len({id(c) for c in caches}) == 1
+    assert len(cache_sizes_when_unfrozen) == 2
+    assert all(sizes == [0, 0, 0] for sizes in cache_sizes_when_unfrozen)
+
+
 # -- the training loop --------------------------------------------------------
 
 

@@ -158,3 +158,49 @@ def test_duration_bounds_validated():
     with pytest.raises(ValidationError):
         small_spec(utt_min_sec=2.0, utt_max_sec=1.0)
 
+
+
+STRING_FIELDS = ("utt_id", "features_path", "transcript", "language")
+NOT_STRINGS = (7, None, 1.5, True, [], ["a"], {}, {"a": "b"})
+
+
+@pytest.mark.parametrize("field", STRING_FIELDS)
+@pytest.mark.parametrize("value", NOT_STRINGS, ids=repr)
+def test_a_manifest_string_field_that_is_not_a_string_is_rejected(
+        tmp_path, field, value):
+    row = {"utt_id": "en-00000", "features_path": "features/en-00000.bin",
+           "num_frames": 10, "transcript": "ab", "language": "en",
+           "duration_sec": 0.1}
+    good = dict(row, utt_id="en-00001")
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(good) + "\n"
+                    + json.dumps(dict(row, **{field: value})) + "\n")
+    with pytest.raises(ValidationError) as info:
+        load_manifest(str(path))
+    assert f"{path}:2" in str(info.value) and field in str(info.value)
+
+
+@pytest.mark.parametrize("line", ["[]", '"row"', "7", "null"])
+def test_a_manifest_line_that_is_not_an_object_is_rejected(tmp_path, line):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValidationError, match=f"{path}:1"):
+        load_manifest(str(path))
+
+
+def test_one_noise_draw_per_utterance_renders_the_same_bytes():
+    from oracles import per_character_render_frames
+    from asrkit.data import _render_frames, _utt_plan, char_template
+    for seed in range(3):
+        spec = small_spec(seed=seed, feature_dim=5, tokens_per_second=5)
+        templates = {ch: char_template(spec, ch)
+                     for lang in spec.languages for ch in lang.charset}
+        for lang in spec.languages:
+            for index in range(12):
+                chars, frames = _utt_plan(spec, lang, index)
+                got = _render_frames(spec, templates, lang, index, chars)
+                want = per_character_render_frames(spec, templates, lang,
+                                                   index, chars)
+                assert got.dtype == want.dtype == np.float32
+                assert got.shape == (frames, 5)
+                assert got.tobytes() == want.tobytes()

@@ -70,3 +70,60 @@ def test_a_changed_gradient_set_raises():
     assert opt.t == 1
     for k, p in params.items():
         assert p.data.tobytes() == before[k].tobytes()
+
+
+def big_params(n):
+    rng = np.random.default_rng(3)
+    params = {f"p{i}": T.Tensor(rng.normal(size=s).astype(np.float32),
+                                requires_grad=True)
+              for i, s in enumerate([(n // 2,), (n // 4, 2), (7,)])}
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape).astype(np.float32)
+    return params
+
+
+def test_between_steps_adamw_holds_its_two_moments_only():
+    import tracemalloc
+    params = big_params(100_000)
+    n = sum(p.data.size for p in params.values())
+    tracemalloc.start()
+    try:
+        opt = AdamW(params)
+        opt.step()
+        opt.step()
+        held = tracemalloc.get_traced_memory()[0]
+        del opt
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # m and v; flat gradient and update buffers kept between steps
+    # would double it
+    assert freed <= 2 * 4 * n + 16 * 1024, (freed, n)
+
+
+def snapshot(opt, params):
+    return (opt.t, opt.m.tobytes(), opt.v.tobytes(),
+            {k: p.data.tobytes() for k, p in params.items()})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_gradient_changes_nothing(bad):
+    rng = np.random.default_rng(4)
+    params = make_params(rng)
+    opt = AdamW(params, peak_lr=1e-2, warmup=2)
+    for _ in range(2):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+        opt.step()
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape).astype(np.float32)
+    params["p2"].grad[1, 3, 0] = bad
+    params["p4"].grad[0] = bad
+    before = snapshot(opt, params)
+    with pytest.raises(FloatingPointError, match="'p2'"):
+        opt.step()
+    assert snapshot(opt, params) == before
+    # the same step with a finite gradient goes through as usual
+    params["p2"].grad[1, 3, 0] = params["p4"].grad[0] = 0.0
+    opt.step()
+    assert opt.t == 3
